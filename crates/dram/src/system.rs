@@ -7,11 +7,16 @@
 //! FR-FCFS scheduler would: requests that can finish earlier (typically row hits) issue
 //! first within the window.
 //!
+//! A request's target bank and row are decoded once, when it enters the window. The
+//! request picked from the window then issues its commands directly into the bank, rank
+//! and channel state and the statistics; command records are built only when tracing is
+//! on.
+//!
 //! Refresh is accounted for in the energy model only; its timing impact (a few percent,
 //! identical across all evaluated systems) is ignored, as is common in accelerator
 //! studies.
 
-use crate::address::{AddressMapper, RowId};
+use crate::address::AddressMapper;
 use crate::config::DramConfig;
 use crate::request::MemRequest;
 use crate::stats::MemStats;
@@ -49,7 +54,7 @@ pub struct CommandRecord {
     pub bus: (u64, u64),
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 struct BankState {
     open_row: Option<u64>,
     act_ready: u64,
@@ -59,11 +64,33 @@ struct BankState {
     busy_until: u64,
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 struct RankState {
-    act_times: VecDeque<u64>,
+    /// The last four activation times, as a ring indexed by `acts % 4`: tFAW only ever
+    /// looks at the fourth-last one.
+    act_ring: [u64; 4],
+    /// Activations issued to the rank so far.
+    acts: usize,
     last_act: u64,
     internal_bus_free: u64,
+}
+
+impl RankState {
+    /// Earliest time tFAW (at most four activations per rank in any `t_faw` window)
+    /// allows the next activation.
+    fn faw_ready(&self, t_faw: u64) -> u64 {
+        if self.acts >= 4 {
+            self.act_ring[self.acts % 4] + t_faw
+        } else {
+            0
+        }
+    }
+
+    fn record_act(&mut self, time: u64) {
+        self.act_ring[self.acts % 4] = time;
+        self.acts += 1;
+        self.last_act = time;
+    }
 }
 
 /// Channel data-bus schedule with gap filling: bursts issued to one bank do not block the
@@ -82,17 +109,21 @@ struct ChannelState {
 impl ChannelState {
     const MAX_INTERVALS: usize = 256;
 
-    /// Reserves `duration` clocks on the bus starting no earlier than `earliest`.
+    /// Reserves `duration` (> 0) clocks on the bus starting no earlier than `earliest`.
     /// Returns the start of the reserved interval. Gaps between existing reservations are
     /// reused (gap filling), so a burst to one bank can use the bus while another bank is
     /// in its FIM internal-operation window.
     fn reserve(&mut self, earliest: u64, duration: u64) -> u64 {
         let mut start = earliest.max(self.horizon);
+        // Intervals ending at or before `start` can neither push it back nor leave room
+        // for the burst in front of them, so the scan begins after them. The intervals
+        // are sorted by end as well as by start, because they do not overlap.
+        let first = self.busy.partition_point(|&(_, e)| e <= start);
         // Find the first gap that fits.
         let mut insert_at = self.busy.len();
-        for (i, &(s, e)) in self.busy.iter().enumerate() {
+        for (i, &(s, e)) in self.busy.range(first..).enumerate() {
             if start + duration <= s {
-                insert_at = i;
+                insert_at = first + i;
                 break;
             }
             if start < e {
@@ -142,18 +173,31 @@ pub struct MemorySystem {
     trace: Option<Vec<CommandRecord>>,
 }
 
-/// Everything a planned request would change, so selection can be done without mutation.
-#[derive(Debug, Clone)]
-struct Plan {
-    completion: u64,
-    bank_idx: usize,
+/// The bank a request addresses and the row it needs open, decoded once when the request
+/// enters the FR-FCFS window.
+#[derive(Debug, Clone, Copy)]
+struct Target {
+    channel: u32,
+    rank: u32,
+    bank: u32,
+    row: u64,
     rank_idx: usize,
-    channel_idx: usize,
-    new_bank: BankState,
-    new_rank: RankState,
-    new_channel: ChannelState,
-    stats_delta: MemStats,
-    records: Vec<CommandRecord>,
+    bank_idx: usize,
+}
+
+impl Target {
+    /// A trace record of a command to this bank.
+    fn command(&self, time: u64, kind: CommandKind, row: u64, bus: (u64, u64)) -> CommandRecord {
+        CommandRecord {
+            time,
+            kind,
+            channel: self.channel,
+            rank: self.rank,
+            bank: self.bank,
+            row,
+            bus,
+        }
+    }
 }
 
 impl MemorySystem {
@@ -220,13 +264,28 @@ impl MemorySystem {
         clocks as f64 * self.cfg.clock_ns()
     }
 
-    fn bank_index(&self, channel: u32, rank: u32, bank: u32) -> usize {
-        ((channel * self.cfg.org.ranks_per_channel + rank) * self.cfg.org.banks_per_rank + bank)
-            as usize
-    }
-
-    fn rank_index(&self, channel: u32, rank: u32) -> usize {
-        (channel * self.cfg.org.ranks_per_channel + rank) as usize
+    fn target(&self, req: &MemRequest) -> Target {
+        let (channel, rank, bank, row) = match req {
+            MemRequest::Read { addr, .. }
+            | MemRequest::Write { addr, .. }
+            | MemRequest::PimUpdate { addr, .. } => {
+                let loc = self.mapper.decompose(*addr);
+                (loc.channel, loc.rank, loc.bank, loc.row)
+            }
+            MemRequest::GatherFim { row, .. }
+            | MemRequest::ScatterFim { row, .. }
+            | MemRequest::GatherNmp { row, .. }
+            | MemRequest::ScatterNmp { row, .. } => self.mapper.unpack_row_id(*row),
+        };
+        let rank_idx = (channel * self.cfg.org.ranks_per_channel + rank) as usize;
+        Target {
+            channel,
+            rank,
+            bank,
+            row,
+            rank_idx,
+            bank_idx: rank_idx * self.cfg.org.banks_per_rank as usize + bank as usize,
+        }
     }
 
     /// Services a batch of requests, returning the timing of the batch. Requests may be
@@ -238,15 +297,15 @@ impl MemorySystem {
     {
         let start = self.now;
         let mut iter = requests.into_iter();
-        let mut window: VecDeque<MemRequest> = VecDeque::new();
         let depth = self.cfg.queue_depth.max(1);
+        let mut window: VecDeque<(Target, MemRequest)> = VecDeque::with_capacity(depth);
         let mut count = 0u64;
         let mut batch_end = start;
 
         loop {
             while window.len() < depth {
                 match iter.next() {
-                    Some(r) => window.push_back(r),
+                    Some(r) => window.push_back((self.target(&r), r)),
                     None => break,
                 }
             }
@@ -258,17 +317,16 @@ impl MemorySystem {
             // FR-FCFS.
             let mut best_idx = 0;
             let mut best_key = u64::MAX;
-            for (i, req) in window.iter().enumerate() {
-                let key = self.estimate_start(req);
+            for (i, (target, _)) in window.iter().enumerate() {
+                let key = self.estimate_start(target);
                 if key < best_key {
                     best_key = key;
                     best_idx = i;
                 }
             }
-            let req = window.remove(best_idx).expect("window entry");
-            let plan = self.plan(&req, self.now);
-            batch_end = batch_end.max(plan.completion);
-            self.commit(plan);
+            let (target, req) = window.remove(best_idx).expect("window entry");
+            let completion = self.issue(&req, &target, self.now);
+            batch_end = batch_end.max(completion);
             count += 1;
         }
 
@@ -287,37 +345,12 @@ impl MemorySystem {
         self.service_batch(std::iter::once(request))
     }
 
-    fn commit(&mut self, plan: Plan) {
-        self.banks[plan.bank_idx] = plan.new_bank;
-        self.ranks[plan.rank_idx] = plan.new_rank;
-        self.channels[plan.channel_idx] = plan.new_channel;
-        self.stats.merge(&plan.stats_delta);
-        if let Some(trace) = &mut self.trace {
-            trace.extend(plan.records);
-        }
-    }
-
     /// Cheap estimate of when a request's first column command could issue, used by the
     /// FR-FCFS-style selection (row hits get earlier estimates than row misses).
-    fn estimate_start(&self, req: &MemRequest) -> u64 {
+    fn estimate_start(&self, at: &Target) -> u64 {
         let t = &self.cfg.timing;
-        let (bank_idx, row) = match req {
-            MemRequest::Read { addr, .. }
-            | MemRequest::Write { addr, .. }
-            | MemRequest::PimUpdate { addr, .. } => {
-                let loc = self.mapper.decompose(*addr);
-                (self.bank_index(loc.channel, loc.rank, loc.bank), loc.row)
-            }
-            MemRequest::GatherFim { row, .. }
-            | MemRequest::ScatterFim { row, .. }
-            | MemRequest::GatherNmp { row, .. }
-            | MemRequest::ScatterNmp { row, .. } => {
-                let (ch, ra, ba, r) = self.mapper.unpack_row_id(*row);
-                (self.bank_index(ch, ra, ba), r)
-            }
-        };
-        let bank = &self.banks[bank_idx];
-        if bank.open_row == Some(row) {
+        let bank = &self.banks[at.bank_idx];
+        if bank.open_row == Some(at.row) {
             bank.col_ready.max(bank.busy_until)
         } else {
             bank.act_ready
@@ -327,184 +360,116 @@ impl MemorySystem {
         }
     }
 
-    fn row_coords(&self, row: RowId) -> (u32, u32, u32, u64) {
-        self.mapper.unpack_row_id(row)
-    }
-
-    /// Plans a request starting no earlier than `earliest`, without mutating any state.
-    fn plan(&self, req: &MemRequest, earliest: u64) -> Plan {
+    /// Issues the commands of one request to its target bank, starting no earlier than
+    /// `earliest`. Bank, rank and channel state and the statistics are updated in place;
+    /// returns the time the request completes.
+    fn issue(&mut self, req: &MemRequest, at: &Target, earliest: u64) -> u64 {
         match req {
-            MemRequest::Read {
-                addr, useful_bytes, ..
-            } => self.plan_simple(*addr, false, *useful_bytes, earliest),
-            MemRequest::Write {
-                addr, useful_bytes, ..
-            } => self.plan_simple(*addr, true, *useful_bytes, earliest),
-            MemRequest::GatherFim { row, offsets, .. } => {
-                self.plan_fim(*row, offsets.len() as u64, false, earliest)
+            MemRequest::Read { useful_bytes, .. } => {
+                self.issue_simple(at, false, *useful_bytes, earliest)
             }
-            MemRequest::ScatterFim { row, offsets, .. } => {
-                self.plan_fim(*row, offsets.len() as u64, true, earliest)
+            MemRequest::Write { useful_bytes, .. } => {
+                self.issue_simple(at, true, *useful_bytes, earliest)
             }
-            MemRequest::GatherNmp { row, offsets, .. } => {
-                self.plan_nmp(*row, offsets.len() as u64, false, earliest)
+            MemRequest::GatherFim { offsets, .. } => {
+                self.issue_fim(at, offsets.len() as u64, false, earliest)
             }
-            MemRequest::ScatterNmp { row, offsets, .. } => {
-                self.plan_nmp(*row, offsets.len() as u64, true, earliest)
+            MemRequest::ScatterFim { offsets, .. } => {
+                self.issue_fim(at, offsets.len() as u64, true, earliest)
             }
-            MemRequest::PimUpdate { addr, .. } => self.plan_pim(*addr, earliest),
+            MemRequest::GatherNmp { offsets, .. } => {
+                self.issue_nmp(at, offsets.len() as u64, false, earliest)
+            }
+            MemRequest::ScatterNmp { offsets, .. } => {
+                self.issue_nmp(at, offsets.len() as u64, true, earliest)
+            }
+            MemRequest::PimUpdate { .. } => self.issue_pim(at, earliest),
         }
     }
 
-    /// Opens `row` in the bank if needed. Returns the time at which a column command may
-    /// issue, and updates the plan's bank/rank copies and statistics.
-    #[allow(clippy::too_many_arguments)]
-    fn ensure_row_open(
-        &self,
-        bank: &mut BankState,
-        rank: &mut RankState,
-        records: &mut Vec<CommandRecord>,
-        stats: &mut MemStats,
-        coords: (u32, u32, u32),
-        row: u64,
-        earliest: u64,
-    ) -> u64 {
+    /// Opens the target row in its bank if needed. Returns the time at which a column
+    /// command may issue.
+    fn ensure_row_open(&mut self, at: &Target, earliest: u64) -> u64 {
         let t = &self.cfg.timing;
-        let (channel, rank_i, bank_i) = coords;
+        let bank = &mut self.banks[at.bank_idx];
+        let rank = &mut self.ranks[at.rank_idx];
         let mut start = earliest.max(bank.busy_until);
 
-        if bank.open_row == Some(row) {
-            stats.row_hits += 1;
+        if bank.open_row == Some(at.row) {
+            self.stats.row_hits += 1;
             return start.max(bank.col_ready);
         }
-        stats.row_misses += 1;
+        self.stats.row_misses += 1;
 
         // Precharge if another row is open.
         if bank.open_row.is_some() {
             let t_pre = start.max(bank.pre_ready);
-            records.push(CommandRecord {
-                time: t_pre,
-                kind: CommandKind::Pre,
-                channel,
-                rank: rank_i,
-                bank: bank_i,
-                row: 0,
-                bus: (0, 0),
-            });
-            stats.precharges += 1;
+            if let Some(trace) = &mut self.trace {
+                trace.push(at.command(t_pre, CommandKind::Pre, 0, (0, 0)));
+            }
+            self.stats.precharges += 1;
             bank.act_ready = bank.act_ready.max(t_pre + t.t_rp);
             start = t_pre;
         }
 
         // Activate, respecting tRC (same bank), tRRD (same rank) and tFAW (4-activate
         // window per rank).
-        let mut t_act = start
+        let t_act = start
             .max(bank.act_ready)
             .max(bank.last_act + t.t_rc)
-            .max(rank.last_act + t.t_rrd);
-        if rank.act_times.len() >= 4 {
-            let fourth_last = rank.act_times[rank.act_times.len() - 4];
-            t_act = t_act.max(fourth_last + t.t_faw);
+            .max(rank.last_act + t.t_rrd)
+            .max(rank.faw_ready(t.t_faw));
+        if let Some(trace) = &mut self.trace {
+            trace.push(at.command(t_act, CommandKind::Act, at.row, (0, 0)));
         }
-        records.push(CommandRecord {
-            time: t_act,
-            kind: CommandKind::Act,
-            channel,
-            rank: rank_i,
-            bank: bank_i,
-            row,
-            bus: (0, 0),
-        });
-        stats.activations += 1;
-        bank.open_row = Some(row);
+        self.stats.activations += 1;
+        bank.open_row = Some(at.row);
         bank.last_act = t_act;
         bank.col_ready = t_act + t.t_rcd;
         bank.pre_ready = t_act + t.t_ras;
-        rank.last_act = t_act;
-        rank.act_times.push_back(t_act);
-        while rank.act_times.len() > 8 {
-            rank.act_times.pop_front();
-        }
+        rank.record_act(t_act);
         bank.col_ready
     }
 
-    /// Issues one column burst (RD or WR), returning `(issue_time, data_end_time)`.
-    #[allow(clippy::too_many_arguments)]
-    fn issue_column(
-        &self,
-        bank: &mut BankState,
-        channel: &mut ChannelState,
-        records: &mut Vec<CommandRecord>,
-        stats: &mut MemStats,
-        coords: (u32, u32, u32),
-        is_write: bool,
-        ready: u64,
-    ) -> (u64, u64) {
+    /// Issues one column burst (RD or WR), returning the time its data transfer ends.
+    fn issue_column(&mut self, at: &Target, is_write: bool, ready: u64) -> u64 {
         let t = &self.cfg.timing;
-        let (ch, ra, ba) = coords;
+        let bank = &mut self.banks[at.bank_idx];
         let latency = if is_write { t.t_cwl } else { t.t_cl };
         // The data bus must be free for the burst; gap filling lets bursts to other banks
         // proceed during another bank's FIM gap.
         let earliest_data = ready.max(bank.col_ready) + latency;
-        let data_start = channel.reserve(earliest_data, t.t_burst);
+        let data_start = self.channels[at.channel as usize].reserve(earliest_data, t.t_burst);
         let t_col = data_start - latency;
         let data_end = data_start + t.t_burst;
         bank.col_ready = t_col + t.t_ccd_l;
-        if is_write {
+        let kind = if is_write {
             bank.pre_ready = bank.pre_ready.max(data_end + t.t_wr);
-            stats.write_bursts += 1;
+            self.stats.write_bursts += 1;
+            CommandKind::Wr
         } else {
             bank.pre_ready = bank.pre_ready.max(t_col + t.t_rtp);
-            stats.read_bursts += 1;
+            self.stats.read_bursts += 1;
+            CommandKind::Rd
+        };
+        if let Some(trace) = &mut self.trace {
+            trace.push(at.command(t_col, kind, 0, (data_start, data_end)));
         }
-        records.push(CommandRecord {
-            time: t_col,
-            kind: if is_write {
-                CommandKind::Wr
-            } else {
-                CommandKind::Rd
-            },
-            channel: ch,
-            rank: ra,
-            bank: ba,
-            row: 0,
-            bus: (data_start, data_end),
-        });
-        (t_col, data_end)
+        data_end
     }
 
-    fn plan_simple(&self, addr: u64, is_write: bool, useful_bytes: u32, earliest: u64) -> Plan {
-        let loc = self.mapper.decompose(addr);
-        let bank_idx = self.bank_index(loc.channel, loc.rank, loc.bank);
-        let rank_idx = self.rank_index(loc.channel, loc.rank);
-        let channel_idx = loc.channel as usize;
-        let mut bank = self.banks[bank_idx].clone();
-        let mut rank = self.ranks[rank_idx].clone();
-        let mut channel = self.channels[channel_idx].clone();
-        let mut stats = MemStats::default();
-        let mut records = Vec::new();
-        let coords = (loc.channel, loc.rank, loc.bank);
-
-        let ready = self.ensure_row_open(
-            &mut bank,
-            &mut rank,
-            &mut records,
-            &mut stats,
-            coords,
-            loc.row,
-            earliest,
-        );
-        let (_, data_end) = self.issue_column(
-            &mut bank,
-            &mut channel,
-            &mut records,
-            &mut stats,
-            coords,
-            is_write,
-            ready,
-        );
+    fn issue_simple(
+        &mut self,
+        at: &Target,
+        is_write: bool,
+        useful_bytes: u32,
+        earliest: u64,
+    ) -> u64 {
+        let ready = self.ensure_row_open(at, earliest);
+        let data_end = self.issue_column(at, is_write, ready);
 
         let burst = self.cfg.org.burst_bytes;
+        let stats = &mut self.stats;
         stats.offchip_bytes += burst;
         stats.useful_offchip_bytes += u64::from(useful_bytes).min(burst);
         if is_write {
@@ -512,62 +477,23 @@ impl MemorySystem {
         } else {
             stats.read_transactions += 1;
         }
-
-        Plan {
-            completion: data_end,
-            bank_idx,
-            rank_idx,
-            channel_idx,
-            new_bank: bank,
-            new_rank: rank,
-            new_channel: channel,
-            stats_delta: stats,
-            records,
-        }
+        data_end
     }
 
     /// Piccolo-FIM gather/scatter (Section IV/VI): offset-buffer write burst(s), the
     /// in-bank operation hidden under the virtual-row `tWR + tRP + tRCD` gap, and the
     /// data-buffer read (gather) or write (scatter) burst(s).
-    fn plan_fim(&self, row: RowId, items: u64, is_scatter: bool, earliest: u64) -> Plan {
-        let (ch, ra, ba, row_no) = self.row_coords(row);
-        let bank_idx = self.bank_index(ch, ra, ba);
-        let rank_idx = self.rank_index(ch, ra);
-        let channel_idx = ch as usize;
-        let mut bank = self.banks[bank_idx].clone();
-        let mut rank = self.ranks[rank_idx].clone();
-        let mut channel = self.channels[channel_idx].clone();
-        let mut stats = MemStats::default();
-        let mut records = Vec::new();
-        let coords = (ch, ra, ba);
-        let fim = &self.cfg.fim;
-        let org = &self.cfg.org;
+    fn issue_fim(&mut self, at: &Target, items: u64, is_scatter: bool, earliest: u64) -> u64 {
+        let fim = self.cfg.fim;
+        let org = self.cfg.org;
 
-        let ready = self.ensure_row_open(
-            &mut bank,
-            &mut rank,
-            &mut records,
-            &mut stats,
-            coords,
-            row_no,
-            earliest,
-        );
+        let ready = self.ensure_row_open(at, earliest);
 
         // 1. Offset-buffer write burst(s) over the data bus.
-        let offset_bursts = fim.offset_bursts(org);
+        let offset_bursts = fim.offset_bursts(&org);
         let mut last_end = ready;
-        for i in 0..offset_bursts {
-            let r = if i == 0 { ready } else { last_end };
-            let (_, end) = self.issue_column(
-                &mut bank,
-                &mut channel,
-                &mut records,
-                &mut stats,
-                coords,
-                true,
-                r,
-            );
-            last_end = end;
+        for _ in 0..offset_bursts {
+            last_end = self.issue_column(at, true, last_end);
         }
 
         // 2. The internal gather/scatter proceeds during the virtual-row gap. The memory
@@ -577,28 +503,20 @@ impl MemorySystem {
             .fim_gap_clocks()
             .max(self.cfg.fim_internal_clocks());
         let internal_done = last_end + gap;
+        let bank = &mut self.banks[at.bank_idx];
         bank.col_ready = bank.col_ready.max(internal_done);
 
         // 3. Data-buffer access: read for gathers, write for scatters.
-        let data_bursts = fim.data_bursts(org);
+        let data_bursts = fim.data_bursts(&org);
         let mut completion = internal_done;
-        for i in 0..data_bursts {
-            let r = if i == 0 { internal_done } else { completion };
-            let (_, end) = self.issue_column(
-                &mut bank,
-                &mut channel,
-                &mut records,
-                &mut stats,
-                coords,
-                is_scatter,
-                r,
-            );
-            completion = end;
+        for _ in 0..data_bursts {
+            completion = self.issue_column(at, is_scatter, completion);
         }
-        bank.busy_until = completion;
+        self.banks[at.bank_idx].busy_until = completion;
 
         // Traffic accounting.
         let burst = org.burst_bytes;
+        let stats = &mut self.stats;
         stats.offchip_bytes += (offset_bursts + data_bursts) * burst;
         stats.useful_offchip_bytes += items * 8;
         stats.internal_bytes += items * burst; // full internal column access per item
@@ -610,82 +528,37 @@ impl MemorySystem {
             stats.read_transactions += data_bursts;
             stats.fim_gathers += 1;
         }
-
-        Plan {
-            completion,
-            bank_idx,
-            rank_idx,
-            channel_idx,
-            new_bank: bank,
-            new_rank: rank,
-            new_channel: channel,
-            stats_delta: stats,
-            records,
-        }
+        completion
     }
 
     /// NMP (buffer-chip, rank-level) gather/scatter: the same off-chip traffic as a FIM
     /// operation, but the internal column accesses serialize on the rank-level bus shared
     /// by every bank of the rank.
-    fn plan_nmp(&self, row: RowId, items: u64, is_scatter: bool, earliest: u64) -> Plan {
-        let (ch, ra, ba, row_no) = self.row_coords(row);
-        let bank_idx = self.bank_index(ch, ra, ba);
-        let rank_idx = self.rank_index(ch, ra);
-        let channel_idx = ch as usize;
-        let mut bank = self.banks[bank_idx].clone();
-        let mut rank = self.ranks[rank_idx].clone();
-        let mut channel = self.channels[channel_idx].clone();
-        let mut stats = MemStats::default();
-        let mut records = Vec::new();
-        let coords = (ch, ra, ba);
-        let t = &self.cfg.timing;
-        let org = &self.cfg.org;
+    fn issue_nmp(&mut self, at: &Target, items: u64, is_scatter: bool, earliest: u64) -> u64 {
+        let burst = self.cfg.org.burst_bytes;
+        let internal_step = self.cfg.timing.t_ccd_l.max(self.cfg.timing.t_burst);
 
-        let ready = self.ensure_row_open(
-            &mut bank,
-            &mut rank,
-            &mut records,
-            &mut stats,
-            coords,
-            row_no,
-            earliest,
-        );
+        let ready = self.ensure_row_open(at, earliest);
 
         // One command/offset burst from the host to the buffer chip.
-        let (_, cmd_end) = self.issue_column(
-            &mut bank,
-            &mut channel,
-            &mut records,
-            &mut stats,
-            coords,
-            true,
-            ready,
-        );
+        let cmd_end = self.issue_column(at, true, ready);
 
         // The buffer chip then performs `items` column accesses serialized on the
         // rank-internal bus (one burst each), without occupying the off-chip channel.
-        let mut internal_cursor = cmd_end.max(rank.internal_bus_free).max(bank.col_ready);
-        for _ in 0..items {
-            internal_cursor += t.t_ccd_l.max(t.t_burst);
-        }
+        let rank = &mut self.ranks[at.rank_idx];
+        let bank = &mut self.banks[at.bank_idx];
+        let internal_cursor =
+            cmd_end.max(rank.internal_bus_free).max(bank.col_ready) + items * internal_step;
         rank.internal_bus_free = internal_cursor;
         bank.col_ready = bank.col_ready.max(internal_cursor);
-        stats.internal_bytes += items * org.burst_bytes;
+        self.stats.internal_bytes += items * burst;
 
         // Finally one data burst over the channel carries the gathered words (or
         // acknowledges the scatter data which was sent along with the command).
-        let (_, data_end) = self.issue_column(
-            &mut bank,
-            &mut channel,
-            &mut records,
-            &mut stats,
-            coords,
-            is_scatter,
-            internal_cursor,
-        );
-        bank.busy_until = data_end;
+        let data_end = self.issue_column(at, is_scatter, internal_cursor);
+        self.banks[at.bank_idx].busy_until = data_end;
 
-        let burst = org.burst_bytes;
+        let stats = &mut self.stats;
         stats.offchip_bytes += 2 * burst;
         stats.useful_offchip_bytes += items * 8;
         stats.nmp_ops += 1;
@@ -695,70 +568,94 @@ impl MemorySystem {
         } else {
             stats.read_transactions += 1;
         }
-
-        Plan {
-            completion: data_end,
-            bank_idx,
-            rank_idx,
-            channel_idx,
-            new_bank: bank,
-            new_rank: rank,
-            new_channel: channel,
-            stats_delta: stats,
-            records,
-        }
+        data_end
     }
 
     /// PIM near-bank update: in-bank read-modify-write of one word, no channel traffic.
-    fn plan_pim(&self, addr: u64, earliest: u64) -> Plan {
-        let loc = self.mapper.decompose(addr);
-        let bank_idx = self.bank_index(loc.channel, loc.rank, loc.bank);
-        let rank_idx = self.rank_index(loc.channel, loc.rank);
-        let channel_idx = loc.channel as usize;
-        let mut bank = self.banks[bank_idx].clone();
-        let mut rank = self.ranks[rank_idx].clone();
-        let channel = self.channels[channel_idx].clone();
-        let mut stats = MemStats::default();
-        let mut records = Vec::new();
-        let coords = (loc.channel, loc.rank, loc.bank);
+    fn issue_pim(&mut self, at: &Target, earliest: u64) -> u64 {
+        let ready = self.ensure_row_open(at, earliest);
         let t = &self.cfg.timing;
-
-        let ready = self.ensure_row_open(
-            &mut bank,
-            &mut rank,
-            &mut records,
-            &mut stats,
-            coords,
-            loc.row,
-            earliest,
-        );
+        let bank = &mut self.banks[at.bank_idx];
         // Internal column read + compute + column write; the near-bank ALU adds a couple
         // of cycles of latency that is irrelevant next to the column timing.
         let completion = ready.max(bank.col_ready) + 2 * t.t_ccd_l + 2;
         bank.col_ready = completion;
         bank.pre_ready = bank.pre_ready.max(completion + t.t_wr);
         bank.busy_until = completion;
-        stats.pim_updates += 1;
-        stats.internal_bytes += 2 * self.cfg.org.burst_bytes;
-
-        Plan {
-            completion,
-            bank_idx,
-            rank_idx,
-            channel_idx,
-            new_bank: bank,
-            new_rank: rank,
-            new_channel: channel,
-            stats_delta: stats,
-            records,
-        }
+        self.stats.pim_updates += 1;
+        self.stats.internal_bytes += 2 * self.cfg.org.burst_bytes;
+        completion
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::address::RowId;
     use crate::request::Region;
+    use piccolo_graph::rng::Rng64;
+
+    /// The front-to-back scan `ChannelState::reserve` used before it skipped the
+    /// intervals that end at or before `start`; kept as the reference it must match.
+    fn reserve_linear(ch: &mut ChannelState, earliest: u64, duration: u64) -> u64 {
+        let mut start = earliest.max(ch.horizon);
+        let mut insert_at = ch.busy.len();
+        for (i, &(s, e)) in ch.busy.iter().enumerate() {
+            if start + duration <= s {
+                insert_at = i;
+                break;
+            }
+            if start < e {
+                start = e;
+            }
+        }
+        ch.busy.insert(insert_at, (start, start + duration));
+        while ch.busy.len() > ChannelState::MAX_INTERVALS {
+            if let Some((_, end)) = ch.busy.pop_front() {
+                ch.horizon = ch.horizon.max(end);
+            }
+        }
+        start
+    }
+
+    #[test]
+    fn reserve_matches_the_linear_scan_reference() {
+        let mut rng = Rng64::seed_from_u64(0x7e5e_27e5);
+        for trial in 0..8 {
+            let mut fast = ChannelState::default();
+            let mut reference = ChannelState::default();
+            let mut clock = 0u64;
+            let mut latest_end = 0u64;
+            let mut gap_fills = 0;
+            // Well over MAX_INTERVALS reservations, so the horizon folds many times.
+            for step in 0..2_000 {
+                // A cursor that mostly creeps forward and sometimes jumps, with requests
+                // that reach back behind it: bursts queue up, gaps open, and later
+                // requests fall into them.
+                clock += if rng.gen_u32_below(8) == 0 {
+                    rng.gen_u64_below(200)
+                } else {
+                    rng.gen_u64_below(4)
+                };
+                let earliest = clock.saturating_sub(rng.gen_u64_below(120));
+                let duration = 1 + rng.gen_u64_below(8);
+                let start = fast.reserve(earliest, duration);
+                assert_eq!(
+                    start,
+                    reserve_linear(&mut reference, earliest, duration),
+                    "trial {trial} step {step}: reserve({earliest}, {duration})"
+                );
+                assert_eq!(fast.busy, reference.busy, "trial {trial} step {step}");
+                assert_eq!(fast.horizon, reference.horizon, "trial {trial} step {step}");
+                if start + duration < latest_end {
+                    gap_fills += 1;
+                }
+                latest_end = latest_end.max(start + duration);
+            }
+            assert!(fast.horizon > 0, "trial {trial}: the horizon never folded");
+            assert!(gap_fills > 0, "trial {trial}: no reservation filled a gap");
+        }
+    }
 
     fn read(addr: u64) -> MemRequest {
         MemRequest::read(addr, Region::Other)

@@ -21,7 +21,7 @@ fn random_requests(rng: &mut Rng64, cfg: DramConfig) -> Vec<MemRequest> {
     let len = 1 + rng.gen_index(199);
     (0..len)
         .map(|_| {
-            let kind = rng.gen_u32_below(7) as u8;
+            let kind = rng.gen_u32_below(8) as u8;
             let addr = rng.gen_u64_below(addr_space) & !7; // 8-byte aligned
             let items = 1 + rng.gen_index(8);
             let row = mapper.row_id(addr);
@@ -48,6 +48,11 @@ fn random_requests(rng: &mut Rng64, cfg: DramConfig) -> Vec<MemRequest> {
                     region: Region::PropertyRandom,
                 },
                 5 => MemRequest::GatherNmp {
+                    row,
+                    offsets,
+                    region: Region::PropertyRandom,
+                },
+                6 => MemRequest::ScatterNmp {
                     row,
                     offsets,
                     region: Region::PropertyRandom,
@@ -113,6 +118,36 @@ fn traffic_accounting_is_consistent() {
         assert!(s.useful_offchip_bytes <= s.offchip_bytes, "seed {seed}");
         assert!(s.row_hits + s.row_misses >= n, "seed {seed}");
     }
+}
+
+/// Tracing only records the commands: a traced and an untraced system serving the same
+/// batches report the same timing and the same statistics.
+#[test]
+fn tracing_does_not_change_timing_or_stats() {
+    let mut total = piccolo_dram::MemStats::default();
+    for seed in 0..CASES {
+        let cfg = DramConfig::ddr4_2400_x16().with_fim();
+        let reqs = random_requests(&mut Rng64::seed_from_u64(seed), cfg);
+        let mut traced = MemorySystem::new(cfg);
+        traced.enable_trace();
+        let mut plain = MemorySystem::new(cfg);
+        let (first, second) = reqs.split_at(reqs.len() / 2);
+        for batch in [first, second] {
+            assert_eq!(
+                traced.service_batch(batch.to_vec()),
+                plain.service_batch(batch.to_vec()),
+                "seed {seed}"
+            );
+        }
+        assert_eq!(traced.stats(), plain.stats(), "seed {seed}");
+        assert!(plain.trace().is_none(), "seed {seed}");
+        assert!(!traced.trace().unwrap().is_empty(), "seed {seed}");
+        total.merge(plain.stats());
+    }
+    // The mixes exercise every request kind, the memory-side ones included.
+    assert!(total.fim_gathers > 0 && total.fim_scatters > 0);
+    assert!(total.nmp_ops > 0 && total.pim_updates > 0);
+    assert!(total.read_transactions > 0 && total.write_transactions > 0);
 }
 
 /// Servicing requests in two batches takes at least as long as one batch (no lost
