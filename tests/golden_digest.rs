@@ -3,9 +3,10 @@
 //! The parity suites compare a binary against itself (across job counts, shards and
 //! resumes); these constants compare it against the past. Each one is the FNV-64 of
 //! what a host-side speed-up must leave unchanged: for every `SystemKind` under both
-//! traversals, the `{:?}` of `accel_cycles | mem_stats | cache_stats | phases` of a
-//! PageRank run (the format `hostbench` prints as `digest <system>`), and the bytes of
-//! `results.json` for one small fixed campaign.
+//! traversals and for Piccolo under every Fig. 11 cache design, the `{:?}` of
+//! `accel_cycles | mem_stats | cache_stats | phases` of a PageRank run (the format
+//! `hostbench` prints as `digest <system>`), and the bytes of `results.json` for one
+//! small fixed campaign.
 //!
 //! A change that is meant to move the model updates the constants in the same diff and
 //! says why in CHANGES.md. A change that is not meant to move it must leave them alone.
@@ -13,7 +14,7 @@
 use piccolo::experiments::{self, Scale};
 use piccolo::report::results_json;
 use piccolo::sweep::SweepRunner;
-use piccolo_accel::{simulate, simulate_edge_centric, RunResult, SimConfig, SystemKind};
+use piccolo_accel::{simulate, simulate_edge_centric, CacheKind, RunResult, SimConfig, SystemKind};
 use piccolo_algo::{Algorithm, PageRank};
 use piccolo_graph::{generate, Dataset};
 use piccolo_io::hash::{fnv64, Fnv64};
@@ -38,6 +39,17 @@ const RUN_DIGESTS: [(SystemKind, u64, u64); 6] = [
     (SystemKind::Nmp, 0x70103df45330a693, 0x21a51e04a9e300c8),
     (SystemKind::Pim, 0x1cab917f5a6d16af, 0x4bce628d1669ef5f),
     (SystemKind::Piccolo, 0x5fa32fe82c01fe25, 0xa23989925807a588),
+];
+
+/// `(cache design, vertex-centric digest)` of Piccolo in `CacheKind::FIG11` order.
+const CACHE_DIGESTS: [(CacheKind, u64); 7] = [
+    (CacheKind::Sectored, 0xf8b1627586c5e580),
+    (CacheKind::Amoeba, 0xd82b4b81062d3ede),
+    (CacheKind::Scrabble, 0xa48ddd99ec6475e8),
+    (CacheKind::Graphfire, 0x6876037a35ee457a),
+    (CacheKind::PiccoloLru, 0x5fa32fe82c01fe25),
+    (CacheKind::PiccoloRrip, 0x5fa32fe82c01fe25),
+    (CacheKind::Line8, 0x9a06096d4cb47017),
 ];
 
 /// FNV-64 of the `results.json` of the campaign in
@@ -76,6 +88,31 @@ fn pagerank_run_digests_match_the_frozen_model() {
         format!("{actual:#x?}"),
         format!("{expected:#x?}"),
         "a run digest moved: the model's timing or traffic output changed"
+    );
+}
+
+#[test]
+fn piccolo_cache_design_digests_match_the_frozen_model() {
+    // The same run as above on Piccolo, once per Fig. 11 cache design: the only place
+    // besides the quick campaign that pins RRIP replacement and the other sector caches.
+    // (RRIP and LRU coincide: every touch resets a line's RRPV to 0 and nothing ages it,
+    // so among valid lines the RRIP key orders by recency alone.)
+    let graph = generate::kronecker(11, 8, 1);
+    let program = PageRank::default();
+    let actual: Vec<_> = CacheKind::FIG11
+        .iter()
+        .map(|&cache| {
+            let cfg = SimConfig::for_system(SystemKind::Piccolo, 12)
+                .with_max_iterations(2)
+                .with_cache(cache);
+            (cache, run_digest(&simulate(&graph, &program, &cfg)))
+        })
+        .collect();
+    let expected: Vec<_> = CACHE_DIGESTS.to_vec();
+    assert_eq!(
+        format!("{actual:#x?}"),
+        format!("{expected:#x?}"),
+        "a cache design's run digest moved: the model's timing or traffic output changed"
     );
 }
 
