@@ -529,7 +529,8 @@ impl<'a, P: VertexProgram> ScatterContext<'a, P> {
             } => {
                 path.end_tile(reqs);
                 if !reqs.is_empty() {
-                    let batch = mem.service_batch(std::mem::take(reqs));
+                    // Draining keeps the buffer's capacity for the next chunk.
+                    let batch = mem.service_batch(reqs.drain(..));
                     *mem_clocks += batch.elapsed_clocks();
                 }
             }

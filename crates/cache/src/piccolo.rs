@@ -25,30 +25,39 @@ use crate::traits::{AccessResult, MissAction, ReplacementPolicy, SectorCache};
 
 const SECTOR_BYTES: u64 = 8;
 
-#[derive(Debug, Clone)]
+/// One line's tag state. Sector `s`'s valid and dirty flags are bit `s` of the masks; its
+/// fg-tag lives in [`PiccoloCache::fg_tags`] and means something only while it is valid.
+#[derive(Debug, Clone, Copy)]
 struct Line {
     valid: bool,
     tag: u64,
     lru: u64,
     /// 2-bit re-reference prediction value when RRIP replacement is used.
     rrpv: u8,
-    sector_valid: Vec<bool>,
-    sector_dirty: Vec<bool>,
-    sector_fgtag: Vec<u16>,
+    sector_valid: u64,
+    sector_dirty: u64,
 }
 
 impl Line {
-    fn empty(sectors: usize) -> Self {
-        Self {
-            valid: false,
-            tag: 0,
-            lru: 0,
-            rrpv: 3,
-            sector_valid: vec![false; sectors],
-            sector_dirty: vec![false; sectors],
-            sector_fgtag: vec![0; sectors],
-        }
-    }
+    const EMPTY: Line = Line {
+        valid: false,
+        tag: 0,
+        lru: 0,
+        rrpv: 3,
+        sector_valid: 0,
+        sector_dirty: 0,
+    };
+}
+
+/// The sectors set in `mask`, lowest first.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> + Clone {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            bit
+        })
+    })
 }
 
 /// Geometry of a [`PiccoloCache`].
@@ -84,7 +93,12 @@ pub struct PiccoloCache {
     cfg: PiccoloCacheConfig,
     sets: u64,
     sectors_per_line: u32,
+    /// Both `sets` and `sectors_per_line` are powers of two, so [`Self::fields`] can
+    /// shift and mask instead of dividing.
+    pow2_geometry: bool,
     lines: Vec<Line>,
+    /// The fg-tag of every sector, `sectors_per_line` consecutive entries per line.
+    fg_tags: Vec<u16>,
     lru_clock: u64,
     /// Ways each tag may occupy in a set (equal way partitioning over the tags of the
     /// current tile); `ways` when tiling information is absent.
@@ -97,20 +111,27 @@ impl PiccoloCache {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is degenerate (zero ways, line smaller than a sector).
+    /// Panics if the configuration is degenerate (zero ways, line smaller than a sector)
+    /// or too wide for the per-set way mask and per-line sector masks (more than 64 ways,
+    /// lines over 512 B).
     pub fn new(cfg: PiccoloCacheConfig) -> Self {
         assert!(cfg.ways > 0, "ways must be positive");
+        assert!(cfg.ways <= 64, "at most 64 ways");
+        assert!(cfg.line_bytes <= 512, "lines of at most 512 B (64 sectors)");
         assert!(
             cfg.line_bytes as u64 >= SECTOR_BYTES && cfg.line_bytes.is_multiple_of(8),
             "line must be a multiple of 8 B"
         );
         let sets = (cfg.capacity_bytes / (cfg.line_bytes as u64 * cfg.ways as u64)).max(1);
         let sectors_per_line = cfg.line_bytes / SECTOR_BYTES as u32;
+        let lines = (sets * cfg.ways as u64) as usize;
         Self {
             cfg,
             sets,
             sectors_per_line,
-            lines: vec![Line::empty(sectors_per_line as usize); (sets * cfg.ways as u64) as usize],
+            pow2_geometry: sets.is_power_of_two() && sectors_per_line.is_power_of_two(),
+            lines: vec![Line::EMPTY; lines],
+            fg_tags: vec![0; lines * sectors_per_line as usize],
             lru_clock: 0,
             allocated_ways_per_tag: cfg.ways,
             stats: CacheStats::default(),
@@ -133,10 +154,21 @@ impl PiccoloCache {
     /// The address fields `(tag, fg_tag, set, fg_offset)` of an 8 B-aligned address.
     fn fields(&self, addr: u64) -> (u64, u16, u64, usize) {
         let word = addr / SECTOR_BYTES;
-        let fg_offset = (word % self.sectors_per_line as u64) as usize;
-        let rest = word / self.sectors_per_line as u64;
-        let set = rest % self.sets;
-        let rest = rest / self.sets;
+        let sectors = u64::from(self.sectors_per_line);
+        // The two divisions would cost more than the rest of a hit.
+        let (fg_offset, set, rest) = if self.pow2_geometry {
+            let rest = word >> sectors.trailing_zeros();
+            let set = rest & (self.sets - 1);
+            (
+                word & (sectors - 1),
+                set,
+                rest >> self.sets.trailing_zeros(),
+            )
+        } else {
+            let rest = word / sectors;
+            (word % sectors, rest % self.sets, rest / self.sets)
+        };
+        let fg_offset = fg_offset as usize;
         let fg_mask = (1u64 << self.cfg.fg_tag_bits) - 1;
         let fg_tag = (rest & fg_mask) as u16;
         let tag = rest >> self.cfg.fg_tag_bits;
@@ -155,6 +187,34 @@ impl PiccoloCache {
         self.lines[idx].lru = self.lru_clock;
         self.lines[idx].rrpv = 0;
     }
+
+    /// Index of sector `s` of line `idx` in `fg_tags`.
+    fn sector(&self, idx: usize, s: usize) -> usize {
+        idx * self.sectors_per_line as usize + s
+    }
+
+    /// Replacement order among valid lines: the smallest key is evicted first.
+    fn victim_key(&self, idx: usize) -> u64 {
+        let line = &self.lines[idx];
+        match self.cfg.policy {
+            ReplacementPolicy::Lru => line.lru,
+            // Higher RRPV = evict first; fall back to LRU order.
+            ReplacementPolicy::Rrip => (u64::from(3 - line.rrpv) << 60) | line.lru,
+        }
+    }
+
+    /// Writes back the dirty sectors of line `idx` of `set` that `mask` selects.
+    fn write_back(&mut self, idx: usize, set: u64, mask: u64, actions: &mut Vec<MissAction>) {
+        let line = self.lines[idx];
+        for s in bits(mask & line.sector_valid & line.sector_dirty) {
+            let addr = self.sector_addr(line.tag, self.fg_tags[self.sector(idx, s)], set, s);
+            actions.push(MissAction::Writeback {
+                addr,
+                bytes: SECTOR_BYTES as u32,
+            });
+            self.stats.writeback_bytes += SECTOR_BYTES;
+        }
+    }
 }
 
 impl SectorCache for PiccoloCache {
@@ -164,25 +224,29 @@ impl SectorCache for PiccoloCache {
         let requested = bytes.min(SECTOR_BYTES as u32);
         let start = (set * self.cfg.ways as u64) as usize;
         let ways = self.cfg.ways as usize;
+        let sector_bit = 1u64 << fg_offset;
 
-        // Sequential search of the ways for matching tags (Section V-A).
-        let mut same_tag_ways: Vec<usize> = Vec::with_capacity(ways);
+        // Sequential search of the ways for matching tags (Section V-A); bit `w` of
+        // `same_tag` marks way `w`.
+        let mut same_tag = 0u64;
         let mut invalid_way: Option<usize> = None;
-        for w in 0..ways {
-            let line = &self.lines[start + w];
+        for (w, line) in self.lines[start..start + ways].iter().enumerate() {
             if line.valid && line.tag == tag {
-                same_tag_ways.push(start + w);
+                same_tag |= 1 << w;
             } else if !line.valid && invalid_way.is_none() {
                 invalid_way = Some(start + w);
             }
         }
 
         // Hit: a same-tag line whose sector holds our fg-tag.
-        for &idx in &same_tag_ways {
-            let line = &self.lines[idx];
-            if line.sector_valid[fg_offset] && line.sector_fgtag[fg_offset] == fg_tag {
+        for idx in bits(same_tag).map(|w| start + w) {
+            if self.lines[idx].sector_valid & sector_bit != 0
+                && self.fg_tags[self.sector(idx, fg_offset)] == fg_tag
+            {
                 self.touch(idx);
-                self.lines[idx].sector_dirty[fg_offset] |= write;
+                if write {
+                    self.lines[idx].sector_dirty |= sector_bit;
+                }
                 self.stats.hits += 1;
                 return AccessResult::hit();
             }
@@ -193,23 +257,15 @@ impl SectorCache for PiccoloCache {
 
         // Decide between installing a new line (way partitioning allows it) or replacing
         // a sector inside an existing same-tag line.
-        let may_take_new_way = (same_tag_ways.len() as u32) < self.allocated_ways_per_tag;
+        let may_take_new_way = same_tag.count_ones() < self.allocated_ways_per_tag;
         let install_idx = if may_take_new_way {
-            if let Some(idx) = invalid_way {
-                Some(idx)
-            } else {
-                // Evict a whole line belonging to another tag, chosen by LRU/RRIP.
+            // Otherwise evict a whole line belonging to another tag, chosen by LRU/RRIP.
+            invalid_way.or_else(|| {
                 (0..ways)
+                    .filter(|&w| same_tag & (1 << w) == 0)
                     .map(|w| start + w)
-                    .filter(|&i| !same_tag_ways.contains(&i))
-                    .min_by_key(|&i| match self.cfg.policy {
-                        ReplacementPolicy::Lru => self.lines[i].lru,
-                        ReplacementPolicy::Rrip => {
-                            // Higher RRPV = evict first; fall back to LRU order.
-                            (u64::from(3 - self.lines[i].rrpv) << 60) | self.lines[i].lru
-                        }
-                    })
-            }
+                    .min_by_key(|&i| self.victim_key(i))
+            })
         } else {
             None
         };
@@ -217,57 +273,32 @@ impl SectorCache for PiccoloCache {
         let idx = match install_idx {
             Some(idx) => {
                 // Whole-line eviction (write back every dirty sector).
-                let line = &self.lines[idx];
-                if line.valid {
-                    let (vtag, vset) = (line.tag, set);
-                    for s in 0..self.sectors_per_line as usize {
-                        if line.sector_valid[s] && line.sector_dirty[s] {
-                            let a = self.sector_addr(vtag, line.sector_fgtag[s], vset, s);
-                            actions.push(MissAction::Writeback {
-                                addr: a,
-                                bytes: SECTOR_BYTES as u32,
-                            });
-                            self.stats.writeback_bytes += SECTOR_BYTES;
-                        }
-                    }
+                if self.lines[idx].valid {
+                    self.write_back(idx, set, u64::MAX, &mut actions);
                     self.stats.line_evictions += 1;
                 }
-                let line = &mut self.lines[idx];
-                *line = Line::empty(self.sectors_per_line as usize);
-                line.valid = true;
-                line.tag = tag;
+                self.lines[idx] = Line {
+                    valid: true,
+                    tag,
+                    ..Line::EMPTY
+                };
                 idx
             }
             None => {
                 // Sector replacement among the same-tag lines (Fig. 6 right): prefer a
                 // line whose target sector slot is still invalid (no data lost), otherwise
                 // the LRU/RRIP line, whose sector is evicted.
-                let idx = same_tag_ways
-                    .iter()
-                    .copied()
-                    .find(|&i| !self.lines[i].sector_valid[fg_offset])
+                let same_tag_lines = bits(same_tag).map(|w| start + w);
+                let idx = same_tag_lines
+                    .clone()
+                    .find(|&i| self.lines[i].sector_valid & sector_bit == 0)
                     .unwrap_or_else(|| {
-                        *same_tag_ways
-                            .iter()
-                            .min_by_key(|&&i| match self.cfg.policy {
-                                ReplacementPolicy::Lru => self.lines[i].lru,
-                                ReplacementPolicy::Rrip => {
-                                    (u64::from(3 - self.lines[i].rrpv) << 60) | self.lines[i].lru
-                                }
-                            })
+                        same_tag_lines
+                            .min_by_key(|&i| self.victim_key(i))
                             .expect("at least one same-tag line when partition is full")
                     });
-                let line = &self.lines[idx];
-                if line.sector_valid[fg_offset] && line.sector_dirty[fg_offset] {
-                    let a =
-                        self.sector_addr(line.tag, line.sector_fgtag[fg_offset], set, fg_offset);
-                    actions.push(MissAction::Writeback {
-                        addr: a,
-                        bytes: SECTOR_BYTES as u32,
-                    });
-                    self.stats.writeback_bytes += SECTOR_BYTES;
-                }
-                if line.sector_valid[fg_offset] {
+                self.write_back(idx, set, sector_bit, &mut actions);
+                if self.lines[idx].sector_valid & sector_bit != 0 {
                     self.stats.sector_evictions += 1;
                 }
                 idx
@@ -276,9 +307,14 @@ impl SectorCache for PiccoloCache {
 
         // Install the new sector.
         let line = &mut self.lines[idx];
-        line.sector_valid[fg_offset] = true;
-        line.sector_dirty[fg_offset] = write;
-        line.sector_fgtag[fg_offset] = fg_tag;
+        line.sector_valid |= sector_bit;
+        if write {
+            line.sector_dirty |= sector_bit;
+        } else {
+            line.sector_dirty &= !sector_bit;
+        }
+        let slot = self.sector(idx, fg_offset);
+        self.fg_tags[slot] = fg_tag;
         self.touch(idx);
         self.stats.fill_bytes += SECTOR_BYTES;
         actions.push(MissAction::Fill {
@@ -295,23 +331,12 @@ impl SectorCache for PiccoloCache {
 
     fn flush(&mut self) -> Vec<MissAction> {
         let mut actions = Vec::new();
-        for set in 0..self.sets {
-            for w in 0..self.cfg.ways as u64 {
-                let idx = (set * self.cfg.ways as u64 + w) as usize;
-                let sectors = self.sectors_per_line as usize;
-                for s in 0..sectors {
-                    let line = &self.lines[idx];
-                    if line.valid && line.sector_valid[s] && line.sector_dirty[s] {
-                        let a = self.sector_addr(line.tag, line.sector_fgtag[s], set, s);
-                        actions.push(MissAction::Writeback {
-                            addr: a,
-                            bytes: SECTOR_BYTES as u32,
-                        });
-                        self.stats.writeback_bytes += SECTOR_BYTES;
-                    }
-                }
-                self.lines[idx] = Line::empty(self.sectors_per_line as usize);
+        let ways = self.cfg.ways as usize;
+        for idx in 0..self.lines.len() {
+            if self.lines[idx].valid {
+                self.write_back(idx, (idx / ways) as u64, u64::MAX, &mut actions);
             }
+            self.lines[idx] = Line::EMPTY;
         }
         actions
     }
@@ -342,6 +367,9 @@ impl SectorCache for PiccoloCache {
         (1u64 << self.cfg.fg_tag_bits) * self.sets * self.sectors_per_line as u64 * SECTOR_BYTES
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -475,5 +503,63 @@ mod tests {
         let misses_after = c.stats().misses;
         assert_eq!(misses_before, words, "first pass all cold misses");
         assert_eq!(misses_after, misses_before, "second pass must be all hits");
+    }
+
+    #[test]
+    fn matches_the_per_line_vec_reference() {
+        use super::reference::ReferencePiccoloCache;
+        use piccolo_graph::rng::Rng64;
+
+        let mut rng = Rng64::seed_from_u64(0xcac4_e5ec);
+        let geometries = [
+            (4096, 4, 128),
+            (16 << 10, 8, 64),
+            (8192, 2, 256),
+            (32 << 10, 16, 128),
+        ];
+        for (capacity_bytes, ways, line_bytes) in geometries {
+            for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Rrip] {
+                let cfg = PiccoloCacheConfig {
+                    capacity_bytes,
+                    ways,
+                    line_bytes,
+                    fg_tag_bits: 8,
+                    policy,
+                };
+                let mut fast = PiccoloCache::new(cfg);
+                let mut reference = ReferencePiccoloCache::new(cfg);
+                let coverage = fast.tag_coverage_bytes();
+                let mut writebacks = 0;
+                for tile in [1, 2, 4, 8, 100] {
+                    fast.begin_tile(tile);
+                    reference.begin_tile(tile);
+                    // A few tags, so lines of one tag compete for sectors and tags compete
+                    // for ways; a narrow window within each, so accesses also hit.
+                    let tags = 1 + rng.gen_u64_below(2 * u64::from(ways));
+                    let window = 1 + rng.gen_u64_below(coverage / 8);
+                    for i in 0..4_000 {
+                        let addr = rng.gen_u64_below(tags) * coverage + rng.gen_u64_below(window);
+                        let bytes = 1 + rng.gen_u32_below(16);
+                        let write = rng.gen_u32_below(3) == 0;
+                        let got = fast.access(addr, bytes, write);
+                        assert_eq!(
+                            got,
+                            reference.access(addr, bytes, write),
+                            "{cfg:?} tile {tile} access {i}: {addr:#x}"
+                        );
+                        writebacks += got.actions.iter().filter(|a| !a.is_fill()).count();
+                    }
+                    assert_eq!(fast.stats(), reference.stats(), "{cfg:?} tile {tile}");
+                    assert_eq!(fast.flush(), reference.flush(), "{cfg:?} tile {tile}");
+                }
+                assert_eq!(fast.stats(), reference.stats(), "{cfg:?}");
+                let s = fast.stats();
+                assert!(
+                    s.hits > 0 && s.line_evictions > 0 && s.sector_evictions > 0,
+                    "{cfg:?}"
+                );
+                assert!(writebacks > 0, "{cfg:?}");
+            }
+        }
     }
 }

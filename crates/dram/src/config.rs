@@ -176,7 +176,8 @@ pub struct DramConfig {
     pub clock_ghz: f64,
     /// Piccolo-FIM settings.
     pub fim: FimConfig,
-    /// FR-FCFS scheduling window (outstanding requests considered per channel).
+    /// FR-FCFS scheduling window: outstanding requests considered at once, in one window
+    /// shared by all channels.
     pub queue_depth: usize,
 }
 

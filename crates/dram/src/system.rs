@@ -8,9 +8,17 @@
 //! first within the window.
 //!
 //! A request's target bank and row are decoded once, when it enters the window. The
-//! request picked from the window then issues its commands directly into the bank, rank
-//! and channel state and the statistics; command records are built only when tracing is
-//! on.
+//! window is keyed: each entry keeps its current estimate of when its first column
+//! command could issue and its arrival number, and the scheduler issues the entry with
+//! the smallest `(estimate, arrival)`. An estimate reads only its own bank's state, and
+//! issuing a request changes only its own bank (plus its rank and channel), so after an
+//! issue only the entries on that bank are re-keyed. The picked request issues its
+//! commands directly into the bank, rank and channel state and the statistics; command
+//! records are built only when tracing is on.
+//!
+//! Each channel's data-bus schedule is kept as run-length coalesced busy runs: back-to-
+//! back bursts on a saturated bus form one run, so finding the first gap a burst fits in
+//! costs one step per run, not per burst.
 //!
 //! Refresh is accounted for in the energy model only; its timing impact (a few percent,
 //! identical across all evaluated systems) is ignored, as is common in accelerator
@@ -94,19 +102,23 @@ impl RankState {
 }
 
 /// Channel data-bus schedule with gap filling: bursts issued to one bank do not block the
-/// bus during another bank's internal (FIM) gap. Only a bounded window of recent busy
-/// intervals is kept; anything older than the window is treated as unavailable, which is
-/// conservative.
+/// bus during another bank's internal (FIM) gap. Only a bounded window of recent
+/// reservations is kept; anything older than the window is treated as unavailable, which
+/// is conservative.
 #[derive(Debug, Clone, Default)]
 struct ChannelState {
-    /// Sorted, non-overlapping busy intervals `(start, end)`.
-    busy: VecDeque<(u64, u64)>,
-    /// Everything before this time is considered unavailable (intervals older than the
+    /// Sorted busy runs `(start, end, n)`: `n` back-to-back reservations cover
+    /// `[start, end)`. Runs neither overlap nor touch.
+    runs: VecDeque<(u64, u64, usize)>,
+    /// Reservations held in `runs` (the sum of their `n`).
+    held: usize,
+    /// Everything before this time is considered unavailable (reservations older than the
     /// bookkeeping window have been folded into the horizon).
     horizon: u64,
 }
 
 impl ChannelState {
+    /// The bookkeeping window, in reservations (not runs).
     const MAX_INTERVALS: usize = 256;
 
     /// Reserves `duration` (> 0) clocks on the bus starting no earlier than `earliest`.
@@ -115,28 +127,64 @@ impl ChannelState {
     /// in its FIM internal-operation window.
     fn reserve(&mut self, earliest: u64, duration: u64) -> u64 {
         let mut start = earliest.max(self.horizon);
-        // Intervals ending at or before `start` can neither push it back nor leave room
-        // for the burst in front of them, so the scan begins after them. The intervals
-        // are sorted by end as well as by start, because they do not overlap.
-        let first = self.busy.partition_point(|&(_, e)| e <= start);
+        // Runs ending at or before `start` can neither push it back nor leave room for
+        // the burst in front of them, so the scan begins after them. The runs are sorted
+        // by end as well as by start, because they do not overlap. Most bursts land at
+        // the back of the schedule, so the last few runs are tried before a binary search.
+        let len = self.runs.len();
+        let first = match self.runs.iter().rev().take(4).position(|r| r.1 <= start) {
+            Some(after) => len - after,
+            None => self.runs.partition_point(|r| r.1 <= start),
+        };
         // Find the first gap that fits.
-        let mut insert_at = self.busy.len();
-        for (i, &(s, e)) in self.busy.range(first..).enumerate() {
+        let mut at = self.runs.len();
+        for (i, &(s, e, _)) in self.runs.range(first..).enumerate() {
             if start + duration <= s {
-                insert_at = first + i;
+                at = first + i;
                 break;
             }
             if start < e {
                 start = e;
             }
         }
-        self.busy.insert(insert_at, (start, start + duration));
-        // Bound the bookkeeping window; dropped intervals are absorbed into the horizon so
-        // the bus can never be double-booked.
-        while self.busy.len() > Self::MAX_INTERVALS {
-            if let Some((_, end)) = self.busy.pop_front() {
-                self.horizon = self.horizon.max(end);
+        let end = start + duration;
+        // Coalesce with the runs the reservation touches.
+        let joins_prev = at > 0 && self.runs[at - 1].1 == start;
+        let joins_next = self.runs.get(at).is_some_and(|r| r.0 == end);
+        match (joins_prev, joins_next) {
+            (true, true) => {
+                let (_, next_end, next_n) = self.runs.remove(at).expect("next run");
+                let prev = &mut self.runs[at - 1];
+                prev.1 = next_end;
+                prev.2 += next_n + 1;
             }
+            (true, false) => {
+                let prev = &mut self.runs[at - 1];
+                prev.1 = end;
+                prev.2 += 1;
+            }
+            (false, true) => {
+                let next = &mut self.runs[at];
+                next.0 = start;
+                next.2 += 1;
+            }
+            (false, false) => self.runs.insert(at, (start, end, 1)),
+        }
+        self.held += 1;
+        // Bound the bookkeeping window: the oldest reservations are absorbed into the
+        // horizon so the bus can never be double-booked. Folding one reservation out of a
+        // longer run leaves the run's span busy, so raising the horizon to the run's start
+        // makes exactly the same bus times unavailable as folding it on its own would.
+        while self.held > Self::MAX_INTERVALS {
+            let front = self.runs.front_mut().expect("held reservations");
+            if front.2 == 1 {
+                self.horizon = self.horizon.max(front.1);
+                self.runs.pop_front();
+            } else {
+                front.2 -= 1;
+                self.horizon = self.horizon.max(front.0);
+            }
+            self.held -= 1;
         }
         start
     }
@@ -183,6 +231,43 @@ struct Target {
     row: u64,
     rank_idx: usize,
     bank_idx: usize,
+}
+
+/// What the FR-FCFS window reads of one bank: its open row and when a row hit and a row
+/// miss could issue their first column command.
+#[derive(Debug, Clone, Copy)]
+struct BankEstimate {
+    open_row: Option<u64>,
+    hit: u64,
+    miss: u64,
+}
+
+impl BankEstimate {
+    /// The estimate for a request to `row` of this bank.
+    fn key(&self, row: u64) -> u64 {
+        if self.open_row == Some(row) {
+            self.hit
+        } else {
+            self.miss
+        }
+    }
+}
+
+/// The FR-FCFS window's scheduling view of one entry. `rank` is the entry's current
+/// [`BankEstimate::key`] in the high 64 bits and its arrival number in the low
+/// 64, so the smallest rank is the earliest estimate, ties going first come, first
+/// served. Slots are kept apart from the requests so a pick scans only them.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    rank: u128,
+    bank_idx: usize,
+    row: u64,
+}
+
+impl Slot {
+    fn rekey(&mut self, key: u64) {
+        self.rank = (u128::from(key) << 64) | (self.rank & u128::from(u64::MAX));
+    }
 }
 
 impl Target {
@@ -298,36 +383,50 @@ impl MemorySystem {
         let start = self.now;
         let mut iter = requests.into_iter();
         let depth = self.cfg.queue_depth.max(1);
-        let mut window: VecDeque<(Target, MemRequest)> = VecDeque::with_capacity(depth);
+        // The window as two vectors kept index-aligned through `swap_remove`.
+        let mut slots: Vec<Slot> = Vec::with_capacity(depth);
+        let mut entries: Vec<(Target, MemRequest)> = Vec::with_capacity(depth);
+        let mut arrivals = 0u64;
         let mut count = 0u64;
         let mut batch_end = start;
 
         loop {
-            while window.len() < depth {
-                match iter.next() {
-                    Some(r) => window.push_back((self.target(&r), r)),
-                    None => break,
-                }
-            }
-            if window.is_empty() {
-                break;
+            while slots.len() < depth {
+                let Some(req) = iter.next() else { break };
+                let target = self.target(&req);
+                let key = self.bank_estimate(target.bank_idx).key(target.row);
+                slots.push(Slot {
+                    rank: (u128::from(key) << 64) | u128::from(arrivals),
+                    bank_idx: target.bank_idx,
+                    row: target.row,
+                });
+                entries.push((target, req));
+                arrivals += 1;
             }
             // Pick the window entry whose first column access could issue earliest (row
             // hits win over row misses), breaking ties by arrival order — the essence of
             // FR-FCFS.
-            let mut best_idx = 0;
-            let mut best_key = u64::MAX;
-            for (i, (target, _)) in window.iter().enumerate() {
-                let key = self.estimate_start(target);
-                if key < best_key {
-                    best_key = key;
-                    best_idx = i;
-                }
+            if slots.is_empty() {
+                break;
             }
-            let (target, req) = window.remove(best_idx).expect("window entry");
+            let mut best = 0;
+            let mut best_rank = u128::MAX;
+            for (i, slot) in slots.iter().enumerate() {
+                // Selects rather than branches: equal keys make the comparison unpredictable.
+                let better = slot.rank < best_rank;
+                best = if better { i } else { best };
+                best_rank = best_rank.min(slot.rank);
+            }
+            slots.swap_remove(best);
+            let (target, req) = entries.swap_remove(best);
             let completion = self.issue(&req, &target, self.now);
             batch_end = batch_end.max(completion);
             count += 1;
+            // Only the issued request's bank changed, and only that bank's entries read it.
+            let estimate = self.bank_estimate(target.bank_idx);
+            for slot in slots.iter_mut().filter(|s| s.bank_idx == target.bank_idx) {
+                slot.rekey(estimate.key(slot.row));
+            }
         }
 
         // Advance the global cursor to the end of the batch so subsequent batches cannot
@@ -345,18 +444,20 @@ impl MemorySystem {
         self.service_batch(std::iter::once(request))
     }
 
-    /// Cheap estimate of when a request's first column command could issue, used by the
-    /// FR-FCFS-style selection (row hits get earlier estimates than row misses).
-    fn estimate_start(&self, at: &Target) -> u64 {
+    /// Cheap estimate of when a request to `bank_idx` could issue its first column
+    /// command, used by the FR-FCFS-style selection (row hits get earlier estimates than
+    /// row misses). The bank's state is all it reads.
+    fn bank_estimate(&self, bank_idx: usize) -> BankEstimate {
         let t = &self.cfg.timing;
-        let bank = &self.banks[at.bank_idx];
-        if bank.open_row == Some(at.row) {
-            bank.col_ready.max(bank.busy_until)
-        } else {
-            bank.act_ready
+        let bank = &self.banks[bank_idx];
+        BankEstimate {
+            open_row: bank.open_row,
+            hit: bank.col_ready.max(bank.busy_until),
+            miss: bank
+                .act_ready
                 .max(bank.pre_ready)
                 .max(bank.busy_until)
-                .saturating_add(t.t_rp + t.t_rcd)
+                .saturating_add(t.t_rp + t.t_rcd),
         }
     }
 
@@ -595,35 +696,58 @@ mod tests {
     use crate::request::Region;
     use piccolo_graph::rng::Rng64;
 
-    /// The front-to-back scan `ChannelState::reserve` used before it skipped the
-    /// intervals that end at or before `start`; kept as the reference it must match.
-    fn reserve_linear(ch: &mut ChannelState, earliest: u64, duration: u64) -> u64 {
-        let mut start = earliest.max(ch.horizon);
-        let mut insert_at = ch.busy.len();
-        for (i, &(s, e)) in ch.busy.iter().enumerate() {
-            if start + duration <= s {
-                insert_at = i;
-                break;
+    /// The bus schedule `ChannelState` kept before it coalesced reservations into runs: one
+    /// `(start, end)` interval per reservation, scanned front to back. Kept as the
+    /// reference the run-length schedule must match.
+    #[derive(Default)]
+    struct LinearBus {
+        busy: VecDeque<(u64, u64)>,
+        horizon: u64,
+    }
+
+    impl LinearBus {
+        fn reserve(&mut self, earliest: u64, duration: u64) -> u64 {
+            let mut start = earliest.max(self.horizon);
+            let mut insert_at = self.busy.len();
+            for (i, &(s, e)) in self.busy.iter().enumerate() {
+                if start + duration <= s {
+                    insert_at = i;
+                    break;
+                }
+                if start < e {
+                    start = e;
+                }
             }
-            if start < e {
-                start = e;
+            self.busy.insert(insert_at, (start, start + duration));
+            while self.busy.len() > ChannelState::MAX_INTERVALS {
+                if let Some((_, end)) = self.busy.pop_front() {
+                    self.horizon = self.horizon.max(end);
+                }
+            }
+            start
+        }
+    }
+
+    /// The bus times a schedule treats as unavailable — `[0, horizon)` and every busy
+    /// interval — as sorted, disjoint, non-touching intervals.
+    fn unavailable(horizon: u64, busy: impl Iterator<Item = (u64, u64)>) -> Vec<(u64, u64)> {
+        let mut out: Vec<(u64, u64)> = Vec::new();
+        for (s, e) in std::iter::once((0, horizon)).chain(busy) {
+            match out.last_mut() {
+                Some(last) if s <= last.1 => last.1 = last.1.max(e),
+                _ => out.push((s, e)),
             }
         }
-        ch.busy.insert(insert_at, (start, start + duration));
-        while ch.busy.len() > ChannelState::MAX_INTERVALS {
-            if let Some((_, end)) = ch.busy.pop_front() {
-                ch.horizon = ch.horizon.max(end);
-            }
-        }
-        start
+        out
     }
 
     #[test]
     fn reserve_matches_the_linear_scan_reference() {
         let mut rng = Rng64::seed_from_u64(0x7e5e_27e5);
+        let (mut long_runs, mut folds_inside_run) = (0, 0);
         for trial in 0..8 {
             let mut fast = ChannelState::default();
-            let mut reference = ChannelState::default();
+            let mut reference = LinearBus::default();
             let mut clock = 0u64;
             let mut latest_end = 0u64;
             let mut gap_fills = 0;
@@ -639,14 +763,32 @@ mod tests {
                 };
                 let earliest = clock.saturating_sub(rng.gen_u64_below(120));
                 let duration = 1 + rng.gen_u64_below(8);
+                let horizon_before = fast.horizon;
                 let start = fast.reserve(earliest, duration);
+                let ctx = format!("trial {trial} step {step}: reserve({earliest}, {duration})");
+                assert_eq!(start, reference.reserve(earliest, duration), "{ctx}");
+                assert_eq!(fast.held, reference.busy.len(), "{ctx}");
                 assert_eq!(
-                    start,
-                    reserve_linear(&mut reference, earliest, duration),
-                    "trial {trial} step {step}: reserve({earliest}, {duration})"
+                    fast.held,
+                    fast.runs.iter().map(|r| r.2).sum::<usize>(),
+                    "{ctx}"
                 );
-                assert_eq!(fast.busy, reference.busy, "trial {trial} step {step}");
-                assert_eq!(fast.horizon, reference.horizon, "trial {trial} step {step}");
+                assert_eq!(
+                    unavailable(fast.horizon, fast.runs.iter().map(|&(s, e, _)| (s, e))),
+                    unavailable(reference.horizon, reference.busy.iter().copied()),
+                    "{ctx}"
+                );
+                if fast.runs.iter().any(|r| r.2 > 1) {
+                    long_runs += 1;
+                }
+                // A fold that empties the front run leaves the horizon at its end, and
+                // the next run starts strictly later; a fold inside a longer run leaves
+                // the horizon at that run's start.
+                if fast.horizon != horizon_before
+                    && fast.runs.front().map(|r| r.0) == Some(fast.horizon)
+                {
+                    folds_inside_run += 1;
+                }
                 if start + duration < latest_end {
                     gap_fills += 1;
                 }
@@ -654,6 +796,132 @@ mod tests {
             }
             assert!(fast.horizon > 0, "trial {trial}: the horizon never folded");
             assert!(gap_fills > 0, "trial {trial}: no reservation filled a gap");
+        }
+        assert!(long_runs > 0, "no run ever held more than one reservation");
+        assert!(
+            folds_inside_run > 0,
+            "the horizon never folded inside a run"
+        );
+    }
+
+    /// `service_batch` as it was before the window was keyed: every pick re-estimates all
+    /// entries and removes the winner from the middle of an arrival-ordered deque. Kept as
+    /// the reference the keyed window must match.
+    fn service_batch_rescan(mem: &mut MemorySystem, requests: Vec<MemRequest>) -> BatchResult {
+        let start = mem.now;
+        let mut iter = requests.into_iter();
+        let depth = mem.cfg.queue_depth.max(1);
+        let mut window: VecDeque<(Target, MemRequest)> = VecDeque::with_capacity(depth);
+        let mut count = 0u64;
+        let mut batch_end = start;
+        loop {
+            while window.len() < depth {
+                match iter.next() {
+                    Some(r) => window.push_back((mem.target(&r), r)),
+                    None => break,
+                }
+            }
+            if window.is_empty() {
+                break;
+            }
+            let mut best_idx = 0;
+            let mut best_key = u64::MAX;
+            for (i, (target, _)) in window.iter().enumerate() {
+                let key = mem.bank_estimate(target.bank_idx).key(target.row);
+                if key < best_key {
+                    best_key = key;
+                    best_idx = i;
+                }
+            }
+            let (target, req) = window.remove(best_idx).expect("window entry");
+            let completion = mem.issue(&req, &target, mem.now);
+            batch_end = batch_end.max(completion);
+            count += 1;
+        }
+        mem.now = mem.now.max(batch_end);
+        BatchResult {
+            start_clock: start,
+            end_clock: batch_end.max(start),
+            requests: count,
+        }
+    }
+
+    /// A seeded batch of one of three shapes: a row-hit stream, random rows over every
+    /// bank and channel, or a mix of every request kind.
+    fn random_batch(rng: &mut Rng64, mapper: &AddressMapper, shape: u32) -> Vec<MemRequest> {
+        let len = 1 + rng.gen_u64_below(300) as usize;
+        let base = rng.gen_u64_below(1 << 24) * 64;
+        let offsets = |rng: &mut Rng64| -> Vec<u16> {
+            (0..1 + rng.gen_u64_below(8))
+                .map(|_| rng.gen_u32_below(128) as u16)
+                .collect()
+        };
+        (0..len as u64)
+            .map(|i| match shape {
+                0 => read(base + i * 64),
+                1 => read(rng.gen_u64_below(1 << 22) * 1024 + rng.gen_u64_below(16) * 64),
+                _ => {
+                    // Few distinct rows, so requests meet open rows and each other.
+                    let addr = rng.gen_u64_below(64) * 8192 + rng.gen_u64_below(128) * 8;
+                    let row = mapper.row_id(addr);
+                    let region = Region::PropertyRandom;
+                    match rng.gen_u32_below(7) {
+                        0 => read(addr),
+                        1 => MemRequest::Write {
+                            addr,
+                            useful_bytes: 8,
+                            region,
+                        },
+                        2 => MemRequest::GatherFim {
+                            row,
+                            offsets: offsets(rng),
+                            region,
+                        },
+                        3 => MemRequest::ScatterFim {
+                            row,
+                            offsets: offsets(rng),
+                            region,
+                        },
+                        4 => MemRequest::GatherNmp {
+                            row,
+                            offsets: offsets(rng),
+                            region,
+                        },
+                        5 => MemRequest::ScatterNmp {
+                            row,
+                            offsets: offsets(rng),
+                            region,
+                        },
+                        _ => MemRequest::PimUpdate { addr, region },
+                    }
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn keyed_window_matches_the_rescan_reference() {
+        let mut rng = Rng64::seed_from_u64(0x5ca1_ab1e);
+        let configs = [
+            DramConfig::ddr4_2400_x16().with_fim(),
+            DramConfig::new(crate::config::MemoryKind::Ddr4X16, 1, 1).with_fim(),
+            DramConfig::new(crate::config::MemoryKind::Ddr4X16, 4, 2).with_fim(),
+        ];
+        for (c, cfg) in configs.into_iter().enumerate() {
+            let mut keyed = MemorySystem::new(cfg);
+            keyed.enable_trace();
+            let mut reference = keyed.clone();
+            for batch in 0..60 {
+                let reqs = random_batch(&mut rng, keyed.mapper(), batch % 3);
+                let got = keyed.service_batch(reqs.clone());
+                let want = service_batch_rescan(&mut reference, reqs);
+                let ctx = format!("config {c} batch {batch}");
+                assert_eq!(got, want, "{ctx}");
+                assert_eq!(keyed.stats(), reference.stats(), "{ctx}");
+                assert_eq!(keyed.trace(), reference.trace(), "{ctx}");
+            }
+            assert!(keyed.stats().row_hits > 0 && keyed.stats().row_misses > 0);
+            assert!(keyed.stats().fim_gathers > 0 && keyed.stats().pim_updates > 0);
         }
     }
 
