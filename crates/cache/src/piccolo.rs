@@ -93,9 +93,6 @@ pub struct PiccoloCache {
     cfg: PiccoloCacheConfig,
     sets: u64,
     sectors_per_line: u32,
-    /// Both `sets` and `sectors_per_line` are powers of two, so [`Self::fields`] can
-    /// shift and mask instead of dividing.
-    pow2_geometry: bool,
     lines: Vec<Line>,
     /// The fg-tag of every sector, `sectors_per_line` consecutive entries per line.
     fg_tags: Vec<u16>,
@@ -129,7 +126,6 @@ impl PiccoloCache {
             cfg,
             sets,
             sectors_per_line,
-            pow2_geometry: sets.is_power_of_two() && sectors_per_line.is_power_of_two(),
             lines: vec![Line::EMPTY; lines],
             fg_tags: vec![0; lines * sectors_per_line as usize],
             lru_clock: 0,
@@ -154,21 +150,10 @@ impl PiccoloCache {
     /// The address fields `(tag, fg_tag, set, fg_offset)` of an 8 B-aligned address.
     fn fields(&self, addr: u64) -> (u64, u16, u64, usize) {
         let word = addr / SECTOR_BYTES;
-        let sectors = u64::from(self.sectors_per_line);
-        // The two divisions would cost more than the rest of a hit.
-        let (fg_offset, set, rest) = if self.pow2_geometry {
-            let rest = word >> sectors.trailing_zeros();
-            let set = rest & (self.sets - 1);
-            (
-                word & (sectors - 1),
-                set,
-                rest >> self.sets.trailing_zeros(),
-            )
-        } else {
-            let rest = word / sectors;
-            (word % sectors, rest % self.sets, rest / self.sets)
-        };
-        let fg_offset = fg_offset as usize;
+        let fg_offset = (word % self.sectors_per_line as u64) as usize;
+        let rest = word / self.sectors_per_line as u64;
+        let set = rest % self.sets;
+        let rest = rest / self.sets;
         let fg_mask = (1u64 << self.cfg.fg_tag_bits) - 1;
         let fg_tag = (rest & fg_mask) as u16;
         let tag = rest >> self.cfg.fg_tag_bits;

@@ -129,13 +129,8 @@ impl ChannelState {
         let mut start = earliest.max(self.horizon);
         // Runs ending at or before `start` can neither push it back nor leave room for
         // the burst in front of them, so the scan begins after them. The runs are sorted
-        // by end as well as by start, because they do not overlap. Most bursts land at
-        // the back of the schedule, so the last few runs are tried before a binary search.
-        let len = self.runs.len();
-        let first = match self.runs.iter().rev().take(4).position(|r| r.1 <= start) {
-            Some(after) => len - after,
-            None => self.runs.partition_point(|r| r.1 <= start),
-        };
+        // by end as well as by start, because they do not overlap.
+        let first = self.runs.partition_point(|&(_, e, _)| e <= start);
         // Find the first gap that fits.
         let mut at = self.runs.len();
         for (i, &(s, e, _)) in self.runs.range(first..).enumerate() {
@@ -389,6 +384,11 @@ impl MemorySystem {
         let mut arrivals = 0u64;
         let mut count = 0u64;
         let mut batch_end = start;
+        // The bank the last request issued to and its estimate after the issue: only that
+        // bank changed, and only its entries read it. Re-keying an entry from its bank's
+        // current state is a no-op, so bank 0 stands in before the first issue.
+        let mut issued_bank = 0;
+        let mut estimate = self.bank_estimate(issued_bank);
 
         loop {
             while slots.len() < depth {
@@ -403,15 +403,18 @@ impl MemorySystem {
                 entries.push((target, req));
                 arrivals += 1;
             }
-            // Pick the window entry whose first column access could issue earliest (row
-            // hits win over row misses), breaking ties by arrival order — the essence of
-            // FR-FCFS.
+            // Re-key the issued bank's entries and pick the entry whose first column
+            // access could issue earliest (row hits win over row misses), breaking ties by
+            // arrival order — the essence of FR-FCFS.
             if slots.is_empty() {
                 break;
             }
             let mut best = 0;
             let mut best_rank = u128::MAX;
-            for (i, slot) in slots.iter().enumerate() {
+            for (i, slot) in slots.iter_mut().enumerate() {
+                if slot.bank_idx == issued_bank {
+                    slot.rekey(estimate.key(slot.row));
+                }
                 // Selects rather than branches: equal keys make the comparison unpredictable.
                 let better = slot.rank < best_rank;
                 best = if better { i } else { best };
@@ -422,11 +425,8 @@ impl MemorySystem {
             let completion = self.issue(&req, &target, self.now);
             batch_end = batch_end.max(completion);
             count += 1;
-            // Only the issued request's bank changed, and only that bank's entries read it.
-            let estimate = self.bank_estimate(target.bank_idx);
-            for slot in slots.iter_mut().filter(|s| s.bank_idx == target.bank_idx) {
-                slot.rekey(estimate.key(slot.row));
-            }
+            issued_bank = target.bank_idx;
+            estimate = self.bank_estimate(issued_bank);
         }
 
         // Advance the global cursor to the end of the batch so subsequent batches cannot
