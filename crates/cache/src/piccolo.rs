@@ -244,7 +244,7 @@ impl SectorCache for PiccoloCache {
         // a sector inside an existing same-tag line.
         let may_take_new_way = same_tag.count_ones() < self.allocated_ways_per_tag;
         let install_idx = if may_take_new_way {
-            // Otherwise evict a whole line belonging to another tag, chosen by LRU/RRIP.
+            // An invalid way, else a whole line of another tag chosen by LRU/RRIP.
             invalid_way.or_else(|| {
                 (0..ways)
                     .filter(|&w| same_tag & (1 << w) == 0)

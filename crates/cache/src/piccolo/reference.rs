@@ -1,6 +1,6 @@
-//! The Piccolo-cache with one heap `Vec` per line for sector valid bits, dirty bits and
-//! fg-tags, and a `Vec` of same-tag ways per access: the model [`super::PiccoloCache`]
-//! replaced, kept as the reference its differential test runs against.
+//! A Piccolo-cache with one heap `Vec` per line for sector valid bits, dirty bits and
+//! fg-tags, and a `Vec` of same-tag ways per access: the plain form of
+//! [`super::PiccoloCache`] that its differential test runs against.
 
 use super::PiccoloCacheConfig;
 use crate::stats::CacheStats;
@@ -34,7 +34,7 @@ impl Line {
     }
 }
 
-/// The Piccolo-cache model as it was before lines became `Copy` with sector bitmasks.
+/// The reference Piccolo-cache.
 #[derive(Debug, Clone)]
 pub struct ReferencePiccoloCache {
     cfg: PiccoloCacheConfig,

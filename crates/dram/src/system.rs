@@ -11,8 +11,8 @@
 //! window is keyed: each entry keeps its current estimate of when its first column
 //! command could issue and its arrival number, and the scheduler issues the entry with
 //! the smallest `(estimate, arrival)`. An estimate reads only its own bank's state, and
-//! issuing a request changes only its own bank (plus its rank and channel), so after an
-//! issue only the entries on that bank are re-keyed. The picked request issues its
+//! issuing a request changes only its own bank (plus its rank and channel), so the scan
+//! for the next pick re-keys only the entries on that bank. The picked request issues its
 //! commands directly into the bank, rank and channel state and the statistics; command
 //! records are built only when tracing is on.
 //!
@@ -228,6 +228,21 @@ struct Target {
     bank_idx: usize,
 }
 
+impl Target {
+    /// A trace record of a command to this bank.
+    fn command(&self, time: u64, kind: CommandKind, row: u64, bus: (u64, u64)) -> CommandRecord {
+        CommandRecord {
+            time,
+            kind,
+            channel: self.channel,
+            rank: self.rank,
+            bank: self.bank,
+            row,
+            bus,
+        }
+    }
+}
+
 /// What the FR-FCFS window reads of one bank: its open row and when a row hit and a row
 /// miss could issue their first column command.
 #[derive(Debug, Clone, Copy)]
@@ -262,21 +277,6 @@ struct Slot {
 impl Slot {
     fn rekey(&mut self, key: u64) {
         self.rank = (u128::from(key) << 64) | (self.rank & u128::from(u64::MAX));
-    }
-}
-
-impl Target {
-    /// A trace record of a command to this bank.
-    fn command(&self, time: u64, kind: CommandKind, row: u64, bus: (u64, u64)) -> CommandRecord {
-        CommandRecord {
-            time,
-            kind,
-            channel: self.channel,
-            rank: self.rank,
-            bank: self.bank,
-            row,
-            bus,
-        }
     }
 }
 
@@ -696,9 +696,8 @@ mod tests {
     use crate::request::Region;
     use piccolo_graph::rng::Rng64;
 
-    /// The bus schedule `ChannelState` kept before it coalesced reservations into runs: one
-    /// `(start, end)` interval per reservation, scanned front to back. Kept as the
-    /// reference the run-length schedule must match.
+    /// A bus schedule with one `(start, end)` interval per reservation, scanned front to
+    /// back: the plain form of `ChannelState` that the run-length schedule must match.
     #[derive(Default)]
     struct LinearBus {
         busy: VecDeque<(u64, u64)>,
@@ -773,6 +772,11 @@ mod tests {
                     fast.runs.iter().map(|r| r.2).sum::<usize>(),
                     "{ctx}"
                 );
+                let runs: Vec<_> = fast.runs.iter().collect();
+                assert!(
+                    runs.windows(2).all(|w| w[0].1 < w[1].0),
+                    "runs touch: {ctx}"
+                );
                 assert_eq!(
                     unavailable(fast.horizon, fast.runs.iter().map(|&(s, e, _)| (s, e))),
                     unavailable(reference.horizon, reference.busy.iter().copied()),
@@ -804,9 +808,9 @@ mod tests {
         );
     }
 
-    /// `service_batch` as it was before the window was keyed: every pick re-estimates all
-    /// entries and removes the winner from the middle of an arrival-ordered deque. Kept as
-    /// the reference the keyed window must match.
+    /// `service_batch` with an unkeyed window: every pick re-estimates all entries and
+    /// removes the winner from an arrival-ordered deque, ties going to the oldest. The
+    /// reference the keyed window must match.
     fn service_batch_rescan(mem: &mut MemorySystem, requests: Vec<MemRequest>) -> BatchResult {
         let start = mem.now;
         let mut iter = requests.into_iter();
