@@ -1,16 +1,8 @@
-//! Intra-run parallelism controls and the host-side phase profiler.
+//! The host-side phase profiler.
 //!
-//! Piccolo has two levels of parallelism:
-//!
-//! * **unit-level** — the sweep/campaign engine (`piccolo::sweep::run_indexed`) executes
-//!   whole simulated runs on `--jobs` worker threads;
-//! * **intra-run** — [`pipeline::run`](crate::pipeline::run) splits the interior of one
-//!   run (scatter chunks, the apply phase) across [`intra_jobs`] worker threads.
-//!
-//! The intra-run budget is a process-wide knob rather than a `SimConfig` field on
-//! purpose: experiment fingerprints (and therefore campaign plan hashes, journals and
-//! shard files) fold the run configuration, and the thread count must never change
-//! *what* is computed — results are byte-identical for any value — only how fast.
+//! A simulated run's interior is serial; the only parallelism is unit-level — the
+//! sweep/campaign engine (`piccolo::sweep::run_indexed`) executes whole simulated runs
+//! on `--jobs` worker threads. That is why the profiler keeps per-thread accumulators.
 //!
 //! The phase profiler attributes *host* wall-clock nanoseconds per pipeline phase
 //! (scatter / apply / frontier rebuild). [`pipeline::run`](crate::pipeline::run)
@@ -35,30 +27,7 @@
 //! [`RunResult`](crate::RunResult) and every deterministic artifact.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
-static INTRA_JOBS: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the number of worker threads used *inside* each simulated run.
-///
-/// `0` resolves to the machine's available parallelism at call time; any other value is
-/// used as-is (clamped to at least 1). The default is 1 (serial interior), which keeps
-/// single-run behaviour identical to the pre-parallel pipeline.
-pub fn set_intra_jobs(n: usize) {
-    let resolved = if n == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    } else {
-        n
-    };
-    INTRA_JOBS.store(resolved.max(1), Ordering::Relaxed);
-}
-
-/// The current intra-run worker budget (default 1 = serial interior).
-pub fn intra_jobs() -> usize {
-    INTRA_JOBS.load(Ordering::Relaxed).max(1)
-}
+use std::sync::atomic::{AtomicU64, Ordering};
 
 static SCATTER_NS: AtomicU64 = AtomicU64::new(0);
 static APPLY_NS: AtomicU64 = AtomicU64::new(0);
@@ -145,17 +114,6 @@ pub fn take_thread_phase_profile() -> PhaseProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn intra_jobs_resolves_zero_to_at_least_one() {
-        // Other tests may race on the global; only assert invariants that hold for any
-        // interleaving of set_intra_jobs calls.
-        set_intra_jobs(0);
-        assert!(intra_jobs() >= 1);
-        set_intra_jobs(3);
-        assert!(intra_jobs() >= 1);
-        set_intra_jobs(1);
-    }
 
     #[test]
     fn recording_feeds_both_the_global_and_the_thread_accumulator() {

@@ -16,30 +16,18 @@
 //!   dense/sparse frontier-read policy ([`ScatterContext::frontier_reads`]);
 //! * **property-access plumbing** — turning per-edge destination updates and sequential
 //!   streams into [`MemoryPath`]/[`MemRequest`] traffic
-//!   ([`ScatterContext::process_edge`], [`ScatterContext::stream`]);
-//! * **intra-run parallelism** — when [`crate::parallel::intra_jobs`] is above 1, the
-//!   scatter chunks and the apply range are split across worker threads (see below).
+//!   ([`ScatterContext::process_edge`], [`ScatterContext::stream`]).
 //!
 //! A traversal order implements [`Traversal`]: it numbers its chunks (destination-interval
-//! tiles for the vertex-centric engine, 2-D grid blocks for the edge-centric one),
-//! executes any single chunk on demand through a [`ScatterContext`], and groups chunks by
-//! destination range ([`ScatterGroup`]) so the driver can partition `Vtemp` between
-//! workers. Adding a new execution strategy (sharded, asynchronous, multi-backend) means
-//! adding a new `Traversal` implementation — not a new engine.
+//! tiles for the vertex-centric engine, 2-D grid blocks for the edge-centric one) and
+//! executes any single chunk on demand through a [`ScatterContext`]. Adding a new
+//! execution strategy (sharded, asynchronous, multi-backend) means adding a new
+//! `Traversal` implementation — not a new engine.
 //!
-//! ## Deterministic intra-run parallelism
-//!
-//! The only state that makes chunk order matter is the memory path (vertex cache, MSHR,
-//! PIM operand buffer) and the DRAM model behind it. Workers therefore never touch
-//! either: each worker executes its chunks *functionally* (updating its disjoint `Vtemp`
-//! segment) while **recording** the chunk's memory operations into a compact trace, and
-//! the driver thread **replays** every trace through the single memory path in ascending
-//! global chunk order — exactly the call sequence the serial interior produces. Per-chunk
-//! destination updates keep their serial order because every chunk runs on one worker,
-//! and per-destination reduction order across chunks is preserved by grouping (a
-//! destination belongs to exactly one [`ScatterGroup`], whose chunks execute in ascending
-//! order on one worker). The result: `results.json` is byte-identical for any intra-run
-//! thread count.
+//! The interior of a run is serial. The memory path (vertex cache, MSHR, PIM operand
+//! buffer) and the DRAM model behind it are stateful and order-dependent, so every chunk's
+//! traffic passes through the one [`MemoryPath`] and the one [`MemorySystem`] in ascending
+//! chunk order. Parallelism lives one level up, across whole runs.
 //!
 //! Every piece of state [`run`] touches — the memory path (with its boxed cache model),
 //! the DRAM system, the functional property arrays — is constructed inside the call and
@@ -192,8 +180,7 @@ pub fn run_with_best_search<P, T, M>(
     make: M,
 ) -> RunResult
 where
-    P: VertexProgram + Sync,
-    P::Value: Send + Sync,
+    P: VertexProgram,
     T: Traversal<P>,
     M: Fn(&Csr, &SimConfig) -> T,
 {
@@ -219,43 +206,20 @@ where
     run(graph, program, cfg, &make(graph, cfg))
 }
 
-/// A group of scatter chunks sharing one contiguous destination-vertex range.
-///
-/// Groups are the unit of work division for intra-run parallelism: all chunks of a group
-/// run on the same worker (in ascending order within the group's `chunks` list), so every
-/// `Vtemp[dst]` reduction happens on one thread in the serial order. The driver requires
-/// the groups of a traversal, in order, to cover `0..num_vertices` with contiguous
-/// non-overlapping `dst_range`s and to mention every chunk index exactly once; traversals
-/// that cannot guarantee this are executed serially.
-#[derive(Debug, Clone)]
-pub struct ScatterGroup {
-    /// Chunk indices of this group, in the order the serial interior executes them.
-    pub chunks: Vec<usize>,
-    /// Destination-vertex interval `[start, end)` the group's edges update.
-    pub dst_range: (u32, u32),
-    /// Load-balancing cost estimate (edges in the group).
-    pub cost: u64,
-}
-
 /// A traversal order: how one iteration's scatter phase walks the graph.
 ///
 /// Implementations chunk the edge set (destination-interval tiles for the vertex-centric
 /// engine, 2-D grid blocks for the edge-centric one), emit each chunk's sequential
 /// streams, and feed every traversed edge to [`ScatterContext::process_edge`]. Everything
-/// else — functional semantics, caching, DRAM timing, apply, convergence, intra-run
-/// parallelism — is shared and lives in [`run`].
-pub trait Traversal<P: VertexProgram>: Sync {
+/// else — functional semantics, caching, DRAM timing, apply, convergence — is shared and
+/// lives in [`run`].
+pub trait Traversal<P: VertexProgram> {
     /// `(tile_width, num_tiles)` reported in the [`RunResult`].
     fn shape(&self) -> (u32, u32);
 
-    /// Number of scatter chunks per iteration. The serial interior executes chunks
-    /// `0..num_chunks()` in ascending order; the parallel interior replays their traffic
-    /// in the same order.
+    /// Number of scatter chunks per iteration. The driver executes chunks
+    /// `0..num_chunks()` in ascending order.
     fn num_chunks(&self) -> usize;
-
-    /// The chunk groups used to divide work between intra-run workers (see
-    /// [`ScatterGroup`] for the required invariants).
-    fn groups(&self) -> Vec<ScatterGroup>;
 
     /// Executes scatter chunk `chunk` through `ctx`.
     ///
@@ -265,176 +229,11 @@ pub trait Traversal<P: VertexProgram>: Sync {
     fn scatter_chunk(&self, chunk: usize, ctx: &mut ScatterContext<'_, P>);
 }
 
-/// One chunk's recorded memory operations, interleaved in call order.
-///
-/// `ops` is the run-length-encoded interleaving of stateful random accesses (addresses in
-/// `randoms`) and pure pre-built requests (`pure`); replaying it through the memory path
-/// reproduces the serial interior's call sequence exactly.
-#[derive(Debug, Default)]
-struct ChunkTrace {
-    began: bool,
-    tile_bytes: u64,
-    ops: Vec<TraceOp>,
-    randoms: Vec<u64>,
-    pure: Vec<MemRequest>,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum TraceOp {
-    /// The next `n` addresses of `randoms` go through `MemoryPath::random_access`.
-    Randoms(u32),
-    /// The next `n` requests of `pure` are appended to the chunk batch verbatim.
-    Pure(u32),
-}
-
-impl ChunkTrace {
-    fn push_random(&mut self, addr: u64) {
-        self.randoms.push(addr);
-        match self.ops.last_mut() {
-            Some(TraceOp::Randoms(k)) if *k < u32::MAX => *k += 1,
-            _ => self.ops.push(TraceOp::Randoms(1)),
-        }
-    }
-
-    fn note_pure(&mut self, added: usize) {
-        let mut added = added as u64;
-        while added > 0 {
-            let take = added.min(u32::MAX as u64) as u32;
-            match self.ops.last_mut() {
-                Some(TraceOp::Pure(k)) if (*k as u64 + take as u64) <= u32::MAX as u64 => {
-                    *k += take;
-                }
-                _ => self.ops.push(TraceOp::Pure(take)),
-            }
-            added -= take as u64;
-        }
-    }
-}
-
-/// Replays one recorded chunk through the memory path and DRAM model, reproducing the
-/// exact call sequence (and therefore request batch) of the serial interior. Returns the
-/// chunk batch's DRAM clocks.
-fn replay_chunk(
-    trace: ChunkTrace,
-    path: &mut MemoryPath,
-    mem: &mut MemorySystem,
-    mapper: &AddressMapper,
-) -> u64 {
-    if !trace.began {
-        debug_assert!(
-            trace.ops.is_empty(),
-            "trace has ops but never began a chunk"
-        );
-        return 0;
-    }
-    path.begin_tile(trace.tile_bytes);
-    let mut reqs = Vec::new();
-    let mut randoms = trace.randoms.into_iter();
-    let mut pure = trace.pure.into_iter();
-    for op in trace.ops {
-        match op {
-            TraceOp::Randoms(k) => {
-                for addr in randoms.by_ref().take(k as usize) {
-                    path.random_access(addr, true, mapper, &mut reqs);
-                }
-            }
-            TraceOp::Pure(k) => reqs.extend(pure.by_ref().take(k as usize)),
-        }
-    }
-    path.end_tile(&mut reqs);
-    if reqs.is_empty() {
-        0
-    } else {
-        mem.service_batch(reqs).elapsed_clocks()
-    }
-}
-
-/// Reorder buffer between recording workers and the replaying driver thread.
-///
-/// Workers publish chunk traces in whatever order they finish; the driver consumes them
-/// in ascending global chunk order, blocking until the next chunk arrives. A panicking
-/// worker poisons the buffer so the driver stops waiting and surfaces the panic.
-struct TraceBuffer {
-    slots: std::sync::Mutex<TraceSlots>,
-    ready: std::sync::Condvar,
-}
-
-struct TraceSlots {
-    traces: Vec<Option<ChunkTrace>>,
-    failed: bool,
-}
-
-impl TraceBuffer {
-    fn new(num_chunks: usize) -> Self {
-        Self {
-            slots: std::sync::Mutex::new(TraceSlots {
-                traces: (0..num_chunks).map(|_| None).collect(),
-                failed: false,
-            }),
-            ready: std::sync::Condvar::new(),
-        }
-    }
-
-    fn publish(&self, chunk: usize, trace: ChunkTrace) {
-        let mut slots = self.slots.lock().unwrap();
-        debug_assert!(
-            slots.traces[chunk].is_none(),
-            "chunk {chunk} published twice"
-        );
-        slots.traces[chunk] = Some(trace);
-        drop(slots);
-        self.ready.notify_all();
-    }
-
-    fn poison(&self) {
-        self.slots.lock().unwrap().failed = true;
-        self.ready.notify_all();
-    }
-
-    /// Waits for chunk `chunk`; `None` means a worker panicked.
-    fn take(&self, chunk: usize) -> Option<ChunkTrace> {
-        let mut slots = self.slots.lock().unwrap();
-        loop {
-            if slots.failed {
-                return None;
-            }
-            if let Some(trace) = slots.traces[chunk].take() {
-                return Some(trace);
-            }
-            slots = self.ready.wait(slots).unwrap();
-        }
-    }
-}
-
-/// Poisons the buffer if the owning worker unwinds, so the driver never deadlocks on a
-/// chunk that will not arrive.
-struct PoisonGuard<'a>(&'a TraceBuffer);
-
-impl Drop for PoisonGuard<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.poison();
-        }
-    }
-}
-
-/// Where a [`ScatterContext`]'s memory operations go: straight through the run's memory
-/// path (serial interior and trace replay) or into a [`ChunkTrace`] (recording workers).
-enum Backend<'a> {
-    Direct {
-        path: &'a mut MemoryPath,
-        mem: &'a mut MemorySystem,
-        reqs: Vec<MemRequest>,
-        mem_clocks: u64,
-    },
-    Record(ChunkTrace),
-}
-
 /// Per-iteration view of the pipeline handed to a [`Traversal`].
 ///
 /// Owns the request buffer of the chunk in flight plus mutable access to the functional
-/// state (the context's `Vtemp` segment, touched set) and the memory path or trace;
-/// exposes read-only access to the frontier and `Vprop`.
+/// state (`Vtemp`, touched set), the memory path and the DRAM model; exposes read-only
+/// access to the frontier and `Vprop`.
 pub struct ScatterContext<'a, P: VertexProgram> {
     program: &'a P,
     cfg: &'a SimConfig,
@@ -444,27 +243,22 @@ pub struct ScatterContext<'a, P: VertexProgram> {
     props: &'a [P::Value],
     active: &'a ActiveSet,
     frontier: &'a [VertexId],
-    /// The `Vtemp` segment this context may update: vertices
-    /// `temp_base .. temp_base + temp.len()`.
     temp: &'a mut [P::Value],
-    temp_base: u32,
     touched: &'a mut BitSet,
     /// `layout.vtemp_base`, hoisted so the per-edge path is one multiply-add.
     vtemp_base: u64,
     iter_edges: u64,
-    backend: Backend<'a>,
+    path: &'a mut MemoryPath,
+    mem: &'a mut MemorySystem,
+    reqs: Vec<MemRequest>,
+    mem_clocks: u64,
 }
 
 impl<P: VertexProgram> std::fmt::Debug for ScatterContext<'_, P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (mode, pending) = match &self.backend {
-            Backend::Direct { reqs, .. } => ("direct", reqs.len()),
-            Backend::Record(trace) => ("record", trace.pure.len() + trace.randoms.len()),
-        };
         f.debug_struct("ScatterContext")
             .field("system", &self.cfg.system)
-            .field("mode", &mode)
-            .field("pending_requests", &pending)
+            .field("pending_requests", &self.reqs.len())
             .field("iter_edges", &self.iter_edges)
             .finish()
     }
@@ -508,67 +302,39 @@ impl<'a, P: VertexProgram> ScatterContext<'a, P> {
     /// Opens a chunk whose destination slice spans `tile_bytes` of `Vtemp` (drives
     /// Piccolo-cache way partitioning).
     pub fn begin_chunk(&mut self, tile_bytes: u64) {
-        match &mut self.backend {
-            Backend::Direct { path, .. } => path.begin_tile(tile_bytes),
-            Backend::Record(trace) => {
-                trace.began = true;
-                trace.tile_bytes = tile_bytes;
-            }
-        }
+        self.path.begin_tile(tile_bytes);
     }
 
     /// Closes the chunk: drains the collection MSHR and services the chunk's request
-    /// batch through the DRAM model. (Recording contexts defer both to replay.)
+    /// batch through the DRAM model.
     pub fn end_chunk(&mut self) {
-        match &mut self.backend {
-            Backend::Direct {
-                path,
-                mem,
-                reqs,
-                mem_clocks,
-            } => {
-                path.end_tile(reqs);
-                if !reqs.is_empty() {
-                    // Draining keeps the buffer's capacity for the next chunk.
-                    let batch = mem.service_batch(reqs.drain(..));
-                    *mem_clocks += batch.elapsed_clocks();
-                }
-            }
-            Backend::Record(_) => {}
+        self.path.end_tile(&mut self.reqs);
+        if !self.reqs.is_empty() {
+            // Draining keeps the buffer's capacity for the next chunk.
+            let batch = self.mem.service_batch(self.reqs.drain(..));
+            self.mem_clocks += batch.elapsed_clocks();
         }
     }
 
     /// Processes one traversed edge `src --(weight)--> dst`: applies
     /// `Reduce(Vtemp[dst], Process(weight, Vprop[src]))` functionally, marks the
     /// destination touched, and pushes the 8 B random read-modify-write of `Vtemp[dst]`
-    /// through the on-chip memory path (or records it for replay).
+    /// through the on-chip memory path.
     pub fn process_edge(&mut self, src: VertexId, dst: VertexId, weight: Weight) {
         let res = self.program.process(weight, self.props[src as usize]);
-        let slot = &mut self.temp[(dst - self.temp_base) as usize];
+        let slot = &mut self.temp[dst as usize];
         *slot = self.program.reduce(*slot, res);
         self.touched.insert(dst as usize);
         self.iter_edges += 1;
         let addr = self.vtemp_base + dst as u64 * PROP_BYTES;
-        match &mut self.backend {
-            Backend::Direct { path, reqs, .. } => path.random_access(addr, true, self.mapper, reqs),
-            Backend::Record(trace) => trace.push_random(addr),
-        }
+        self.path
+            .random_access(addr, true, self.mapper, &mut self.reqs);
     }
 
     /// Emits `bytes` of sequential stream traffic starting at `base + offset` as 64 B
     /// bursts (reads, or writes when `write` is set), every byte useful.
     pub fn stream(&mut self, base: u64, offset: u64, bytes: u64, write: bool, region: Region) {
-        match &mut self.backend {
-            Backend::Direct { reqs, .. } => {
-                stream_requests(reqs, base, offset, bytes, write, region);
-            }
-            Backend::Record(trace) => {
-                let before = trace.pure.len();
-                stream_requests(&mut trace.pure, base, offset, bytes, write, region);
-                let added = trace.pure.len() - before;
-                trace.note_pure(added);
-            }
-        }
+        stream_requests(&mut self.reqs, base, offset, bytes, write, region);
     }
 
     /// Emits the row-offset and `Vprop` reads of this iteration's frontier for one chunk.
@@ -620,39 +386,14 @@ impl<'a, P: VertexProgram> ScatterContext<'a, P> {
                     (layout.vprop_addr(u), PROP_BYTES as u32),
                 ]
             });
-            match &mut self.backend {
-                Backend::Direct { reqs, .. } => {
-                    sparse_frontier_requests(reqs, addrs, fine, nmp, self.mapper, items_per_op);
-                }
-                Backend::Record(trace) => {
-                    let before = trace.pure.len();
-                    sparse_frontier_requests(
-                        &mut trace.pure,
-                        addrs,
-                        fine,
-                        nmp,
-                        self.mapper,
-                        items_per_op,
-                    );
-                    let added = trace.pure.len() - before;
-                    trace.note_pure(added);
-                }
-            }
-        }
-    }
-
-    /// Number of requests buffered for the chunk in flight (direct contexts only).
-    fn has_pending_requests(&self) -> bool {
-        match &self.backend {
-            Backend::Direct { reqs, .. } => !reqs.is_empty(),
-            Backend::Record(_) => false,
+            sparse_frontier_requests(&mut self.reqs, addrs, fine, nmp, self.mapper, items_per_op);
         }
     }
 }
 
 /// Emits `bytes` of sequential stream traffic starting at `base + offset` as 64 B reads
 /// (or writes), marking every byte useful.
-pub(crate) fn stream_requests(
+fn stream_requests(
     out: &mut Vec<MemRequest>,
     base: u64,
     offset: u64,
@@ -686,7 +427,7 @@ pub(crate) fn stream_requests(
 /// Emits the per-tile reads of isolated (sparse-frontier) 4/8 B accesses: row-grouped
 /// in-memory gathers on fine-grained systems, one 64 B line read per touched line
 /// otherwise.
-pub(crate) fn sparse_frontier_requests(
+fn sparse_frontier_requests(
     out: &mut Vec<MemRequest>,
     addrs: impl Iterator<Item = (u64, u32)>,
     fine_grained: bool,
@@ -744,94 +485,6 @@ pub(crate) fn sparse_frontier_requests(
     }
 }
 
-/// A validated intra-run work division: contiguous group segments, one per worker.
-struct ScatterPlan {
-    segments: Vec<Segment>,
-}
-
-struct Segment {
-    /// Chunk indices this worker records, in execution order.
-    chunks: Vec<usize>,
-    /// Destination-vertex interval `[dst_start, dst_end)` covered by the segment.
-    dst_start: u32,
-    dst_end: u32,
-}
-
-impl ScatterPlan {
-    /// Builds a plan for `workers` threads, or `None` when the groups violate the
-    /// [`ScatterGroup`] invariants (fall back to the serial interior) or the division
-    /// degenerates to one worker.
-    fn new(
-        groups: &[ScatterGroup],
-        workers: usize,
-        num_vertices: u32,
-        num_chunks: usize,
-    ) -> Option<ScatterPlan> {
-        if workers <= 1 || groups.len() <= 1 {
-            return None;
-        }
-        // Validate: contiguous non-overlapping coverage of 0..num_vertices, and every
-        // chunk index mentioned exactly once.
-        let mut next_dst = 0u32;
-        let mut seen = vec![false; num_chunks];
-        for g in groups {
-            if g.dst_range.0 != next_dst || g.dst_range.1 < g.dst_range.0 {
-                return None;
-            }
-            next_dst = g.dst_range.1;
-            for &c in &g.chunks {
-                if c >= num_chunks || seen[c] {
-                    return None;
-                }
-                seen[c] = true;
-            }
-        }
-        if next_dst != num_vertices || !seen.iter().all(|&s| s) {
-            return None;
-        }
-
-        // Greedy contiguous cost-balanced partition of the group list.
-        let w = workers.min(groups.len());
-        let total: u64 = groups.iter().map(|g| g.cost.max(1)).sum();
-        let mut segments: Vec<Segment> = Vec::with_capacity(w);
-        let mut cur = Segment {
-            chunks: Vec::new(),
-            dst_start: 0,
-            dst_end: 0,
-        };
-        let mut acc = 0u64;
-        for (i, g) in groups.iter().enumerate() {
-            if cur.chunks.is_empty() {
-                cur.dst_start = g.dst_range.0;
-            }
-            cur.chunks.extend_from_slice(&g.chunks);
-            cur.dst_end = g.dst_range.1;
-            acc += g.cost.max(1);
-            let made = segments.len();
-            let groups_left = groups.len() - i - 1;
-            let segs_left = w - made - 1;
-            let hit_target = acc * w as u64 >= total * (made as u64 + 1);
-            if made + 1 < w && (hit_target || groups_left == segs_left) {
-                segments.push(std::mem::replace(
-                    &mut cur,
-                    Segment {
-                        chunks: Vec::new(),
-                        dst_start: 0,
-                        dst_end: 0,
-                    },
-                ));
-            }
-        }
-        if !cur.chunks.is_empty() {
-            segments.push(cur);
-        }
-        if segments.len() <= 1 {
-            return None;
-        }
-        Some(ScatterPlan { segments })
-    }
-}
-
 /// Runs `program` on `graph` under `cfg` with the given traversal order and returns
 /// timing and traffic statistics.
 ///
@@ -850,19 +503,9 @@ impl ScatterPlan {
 /// the whole `Vprop` array is re-read each iteration. Cache-based systems read the
 /// `Vtemp`/`Vprop` pair of touched destinations only. Updated entries are written back
 /// in both cases. This policy is shared by every traversal order.
-///
-/// ## Intra-run parallelism
-///
-/// When [`crate::parallel::intra_jobs`] is above 1 the scatter chunks are recorded by
-/// worker threads (one contiguous [`ScatterGroup`] segment each, with a disjoint `Vtemp`
-/// slice) and replayed here in ascending chunk order, and the apply phase runs over
-/// disjoint contiguous `Vprop` ranges whose activation lists are merged in range order.
-/// Both reductions are in fixed order, so the result is byte-identical to the serial
-/// interior for any thread count.
 pub fn run<P, T>(graph: &Csr, program: &P, cfg: &SimConfig, traversal: &T) -> RunResult
 where
-    P: VertexProgram + Sync,
-    P::Value: Send + Sync,
+    P: VertexProgram,
     T: Traversal<P>,
 {
     let n = graph.num_vertices();
@@ -885,12 +528,6 @@ where
     let mut frontier: Vec<VertexId> = Vec::new();
 
     let num_chunks = traversal.num_chunks();
-    let intra = parallel::intra_jobs();
-    let plan = if intra > 1 {
-        ScatterPlan::new(&traversal.groups(), intra, n, num_chunks)
-    } else {
-        None
-    };
 
     let mut total_mem_clocks = 0u64;
     let mut compute_cycles = 0u64;
@@ -922,66 +559,34 @@ where
 
         // Scatter phase (Algorithm 1 lines 1-5), in the traversal's order.
         let t_scatter = Instant::now();
-        let (iter_scatter_clocks, iter_edges) = match &plan {
-            None => {
-                let mut ctx = ScatterContext {
-                    program,
-                    cfg,
-                    layout: &layout,
-                    mapper: &mapper,
-                    num_vertices: n,
-                    props: props.as_slice(),
-                    active: &active,
-                    frontier: &frontier,
-                    temp: temp.as_mut_slice(),
-                    temp_base: 0,
-                    touched: &mut touched,
-                    vtemp_base: layout.vtemp_base,
-                    iter_edges: 0,
-                    backend: Backend::Direct {
-                        path: &mut path,
-                        mem: &mut mem,
-                        reqs: Vec::new(),
-                        mem_clocks: 0,
-                    },
-                };
-                for chunk in 0..num_chunks {
-                    traversal.scatter_chunk(chunk, &mut ctx);
-                }
-                debug_assert!(
-                    !ctx.has_pending_requests(),
-                    "traversal left an unclosed chunk"
-                );
-                if ctx.has_pending_requests() {
-                    // Fail closed in release builds: a traversal that forgot its final
-                    // end_chunk() must not silently drop traffic from the timing model.
-                    ctx.end_chunk();
-                }
-                let iter_edges = ctx.iter_edges;
-                let clocks = match ctx.backend {
-                    Backend::Direct { mem_clocks, .. } => mem_clocks,
-                    Backend::Record(_) => unreachable!("serial interior is direct"),
-                };
-                (clocks, iter_edges)
-            }
-            Some(plan) => parallel_scatter(
-                plan,
-                traversal,
-                program,
-                cfg,
-                &layout,
-                &mapper,
-                n,
-                &props,
-                &active,
-                &frontier,
-                &mut temp,
-                &mut touched,
-                &mut path,
-                &mut mem,
-                num_chunks,
-            ),
+        let mut ctx = ScatterContext {
+            program,
+            cfg,
+            layout: &layout,
+            mapper: &mapper,
+            num_vertices: n,
+            props: props.as_slice(),
+            active: &active,
+            frontier: &frontier,
+            temp: temp.as_mut_slice(),
+            touched: &mut touched,
+            vtemp_base: layout.vtemp_base,
+            iter_edges: 0,
+            path: &mut path,
+            mem: &mut mem,
+            reqs: Vec::new(),
+            mem_clocks: 0,
         };
+        for chunk in 0..num_chunks {
+            traversal.scatter_chunk(chunk, &mut ctx);
+        }
+        debug_assert!(ctx.reqs.is_empty(), "traversal left an unclosed chunk");
+        if !ctx.reqs.is_empty() {
+            // Fail closed in release builds: a traversal that forgot its final
+            // end_chunk() must not silently drop traffic from the timing model.
+            ctx.end_chunk();
+        }
+        let (iter_scatter_clocks, iter_edges) = (ctx.mem_clocks, ctx.iter_edges);
         host_profile.scatter_ns += t_scatter.elapsed().as_nanos() as u64;
 
         // Apply phase (Algorithm 1 lines 6-10), functionally over every vertex, with
@@ -989,28 +594,12 @@ where
         let t_apply = Instant::now();
         let mut next_active = ActiveSet::new(n);
         let mut updated = 0u64;
-        match &plan {
-            None => {
-                for v in 0..n {
-                    let new = program.apply(props[v], temp[v], program.vconst(v, graph));
-                    if program.changed(props[v], new) {
-                        props[v] = new;
-                        next_active.activate(v);
-                        updated += 1;
-                    }
-                }
-            }
-            Some(plan) => {
-                let workers = plan.segments.len();
-                let per_range = parallel_apply(graph, program, &mut props, &temp, n, workers);
-                // Merge in range order: ranges are ascending and disjoint, so the merged
-                // activation order is ascending — exactly the serial order.
-                for (changed, count) in per_range {
-                    for v in changed {
-                        next_active.activate(v);
-                    }
-                    updated += count;
-                }
+        for v in 0..n {
+            let new = program.apply(props[v], temp[v], program.vconst(v, graph));
+            if program.changed(props[v], new) {
+                props[v] = new;
+                next_active.activate(v);
+                updated += 1;
             }
         }
         let touched_count = touched.count() as u64;
@@ -1106,156 +695,6 @@ where
     }
 }
 
-/// The parallel scatter interior: workers record their segments' chunks, the calling
-/// thread replays all chunks in ascending order through the single memory path, then
-/// worker results (touched sets, edge counts) are folded in fixed worker-index order.
-/// Returns `(scatter DRAM clocks, edges processed)`.
-#[allow(clippy::too_many_arguments)]
-fn parallel_scatter<P, T>(
-    plan: &ScatterPlan,
-    traversal: &T,
-    program: &P,
-    cfg: &SimConfig,
-    layout: &GraphLayout,
-    mapper: &AddressMapper,
-    n: u32,
-    props: &VertexProps<P::Value>,
-    active: &ActiveSet,
-    frontier: &[VertexId],
-    temp: &mut VertexProps<P::Value>,
-    touched: &mut BitSet,
-    path: &mut MemoryPath,
-    mem: &mut MemorySystem,
-    num_chunks: usize,
-) -> (u64, u64)
-where
-    P: VertexProgram + Sync,
-    P::Value: Send + Sync,
-    T: Traversal<P>,
-{
-    let buffer = TraceBuffer::new(num_chunks);
-    let mut scatter_clocks = 0u64;
-    let mut iter_edges = 0u64;
-    std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(plan.segments.len());
-        let mut rest = temp.as_mut_slice();
-        let mut consumed = 0u32;
-        for seg in &plan.segments {
-            debug_assert_eq!(seg.dst_start, consumed, "segments must tile Vtemp");
-            let seg_len = (seg.dst_end - seg.dst_start) as usize;
-            let (seg_temp, tail) = rest.split_at_mut(seg_len);
-            rest = tail;
-            consumed = seg.dst_end;
-            let temp_base = seg.dst_start;
-            let buffer_ref = &buffer;
-            let props_slice = props.as_slice();
-            handles.push(s.spawn(move || {
-                let _guard = PoisonGuard(buffer_ref);
-                let mut seg_touched = BitSet::new(n as usize);
-                let mut seg_edges = 0u64;
-                for &chunk in &seg.chunks {
-                    let mut ctx = ScatterContext {
-                        program,
-                        cfg,
-                        layout,
-                        mapper,
-                        num_vertices: n,
-                        props: props_slice,
-                        active,
-                        frontier,
-                        temp: &mut *seg_temp,
-                        temp_base,
-                        touched: &mut seg_touched,
-                        vtemp_base: layout.vtemp_base,
-                        iter_edges: 0,
-                        backend: Backend::Record(ChunkTrace::default()),
-                    };
-                    traversal.scatter_chunk(chunk, &mut ctx);
-                    seg_edges += ctx.iter_edges;
-                    let Backend::Record(trace) = ctx.backend else {
-                        unreachable!("worker contexts record")
-                    };
-                    buffer_ref.publish(chunk, trace);
-                }
-                (seg_touched, seg_edges)
-            }));
-        }
-        debug_assert!(rest.is_empty(), "segments must cover every vertex");
-
-        // Replay in ascending global chunk order — call-for-call the serial sequence.
-        for chunk in 0..num_chunks {
-            match buffer.take(chunk) {
-                Some(trace) => scatter_clocks += replay_chunk(trace, path, mem, mapper),
-                None => break, // a worker panicked; surface its payload below
-            }
-        }
-
-        for handle in handles {
-            match handle.join() {
-                Ok((seg_touched, seg_edges)) => {
-                    touched.union_with(&seg_touched);
-                    iter_edges += seg_edges;
-                }
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    (scatter_clocks, iter_edges)
-}
-
-/// The parallel apply interior: disjoint contiguous `Vprop` ranges, one per worker; each
-/// worker returns its ascending changed-vertex list and update count, in range order.
-fn parallel_apply<P>(
-    graph: &Csr,
-    program: &P,
-    props: &mut VertexProps<P::Value>,
-    temp: &VertexProps<P::Value>,
-    n: u32,
-    workers: usize,
-) -> Vec<(Vec<VertexId>, u64)>
-where
-    P: VertexProgram + Sync,
-    P::Value: Send + Sync,
-{
-    let per_worker = (n as usize).div_ceil(workers.max(1)).max(1);
-    let temp_slice = temp.as_slice();
-    let mut out = Vec::with_capacity(workers);
-    std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(workers);
-        let mut rest = props.as_mut_slice();
-        let mut base = 0usize;
-        while !rest.is_empty() {
-            let take = per_worker.min(rest.len());
-            let (range, tail) = rest.split_at_mut(take);
-            rest = tail;
-            let lo = base as u32;
-            base += take;
-            handles.push(s.spawn(move || {
-                let mut changed = Vec::new();
-                let mut count = 0u64;
-                for (i, slot) in range.iter_mut().enumerate() {
-                    let v = lo + i as u32;
-                    let new =
-                        program.apply(*slot, temp_slice[v as usize], program.vconst(v, graph));
-                    if program.changed(*slot, new) {
-                        *slot = new;
-                        changed.push(v);
-                        count += 1;
-                    }
-                }
-                (changed, count)
-            }));
-        }
-        for handle in handles {
-            match handle.join() {
-                Ok(pair) => out.push(pair),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    out
-}
-
 #[cfg(test)]
 mod send_audit {
     //! Compile-time audit that the whole simulation pipeline is per-run owned: a worker
@@ -1276,9 +715,5 @@ mod send_audit {
         // Shared read-only inputs of a sweep: one graph serves many worker threads.
         assert_sync::<Csr>();
         assert_sync::<SimConfig>();
-        // Intra-run machinery: traces cross from recording workers to the replaying
-        // driver thread through the reorder buffer.
-        assert_send::<ChunkTrace>();
-        assert_sync::<TraceBuffer>();
     }
 }

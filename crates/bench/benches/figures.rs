@@ -14,7 +14,6 @@
 //! cargo bench                                   # all figures, 5 samples each
 //! cargo bench -- fig10                          # filter by name substring
 //! cargo bench -- --quick --jobs 2               # 2 samples, 2 workers
-//! cargo bench -- --intra-jobs 4                 # 4 threads inside each simulation
 //! cargo bench -- --json BENCH.json --check crates/bench/baselines.json
 //! cargo bench -- --external web=web.tsv        # bench a real graph (external figure)
 //! ```
@@ -31,31 +30,24 @@
 //! failures to warnings (static floors stay hard); `--update-ratchet` writes improved
 //! bests back to the file.
 //!
-//! `--intra-jobs N` (0 = all cores) splits each simulation's interior across `N`
-//! worker threads (`docs/parallelism.md`); rows and metrics are byte-identical for
-//! every `N`, and with `N > 1` the harness times one large unit serial-vs-parallel
-//! and records the wall-clock speedup in `BENCH.json`'s `intra` section.
-//!
 //! Diagnostics go through the `piccolo-obs` stderr sink; `--log-level quiet` (or
 //! `error`/`warn`/`info`/`debug`) controls them (`docs/observability.md`). Tables and
 //! check verdicts stay on stdout. `--events PATH` (optionally capped with
 //! `--events-max-bytes N`) streams the harness's span tree — a `bench` root,
-//! one `bench_figure` span per timing loop, `bench_intra` for the intra-jobs
-//! comparison, plus the campaign/unit spans inside each sample — as the same
-//! checksummed `piccolo-events/v1` log `repro` writes; `graphtool events-check`
-//! validates it. Common flags are the shared driver surface
+//! one `bench_figure` span per timing loop, plus the campaign/unit spans inside
+//! each sample — as the same checksummed `piccolo-events/v1` log `repro` writes;
+//! `graphtool events-check` validates it. Common flags are the shared driver surface
 //! ([`piccolo_bench::cli`]); only `--json`/`--check`/`--allow-regression`/
 //! `--update-ratchet` are the harness's own.
 
 #![forbid(unsafe_code)]
 
 use piccolo::experiments::{self, Scale};
-use piccolo::sweep::{effective_unit_jobs, ExperimentSpec, SweepRunner};
+use piccolo::sweep::{ExperimentSpec, SweepRunner};
 use piccolo_algo::Algorithm;
 use piccolo_bench::cli::{CliParser, CommonOpts, FlagSet};
 use piccolo_bench::{
     bench_json, check_floors, check_trajectory, speedup_metrics, updated_trajectory, FigureBench,
-    IntraBench,
 };
 use piccolo_graph::Dataset;
 use piccolo_obs as obs;
@@ -115,7 +107,6 @@ fn flags() -> FlagSet {
     FlagSet {
         scale: true,
         jobs: true,
-        intra_jobs: true,
         external: true,
         snapshot_dir: true,
         events: true,
@@ -195,11 +186,7 @@ fn main() {
     );
 
     let samples = if quick { 2 } else { 5 };
-    // Split the thread budget between unit-level workers and each simulation's
-    // interior; every split yields byte-identical rows (docs/parallelism.md).
-    piccolo::set_intra_jobs(opts.intra_jobs);
-    let intra = piccolo::intra_jobs();
-    let runner = SweepRunner::new(effective_unit_jobs(opts.jobs, intra));
+    let runner = SweepRunner::new(opts.jobs);
     let mut benched: Vec<FigureBench> = Vec::new();
     let mut metrics: Vec<(String, f64)> = Vec::new();
 
@@ -248,7 +235,6 @@ fn main() {
         vec![
             ("samples", (samples as u64).into()),
             ("jobs", (runner.jobs() as u64).into()),
-            ("intra_jobs", (intra as u64).into()),
         ],
     );
 
@@ -294,47 +280,6 @@ fn main() {
         stats.graphs_built, stats.builds_saved, stats.scatter_mem_clocks, stats.apply_mem_clocks
     );
 
-    // With --intra-jobs > 1, time one large simulation unit with its interior serial
-    // and then split across the intra workers — the wall-clock speedup the two-level
-    // thread model buys on a single unit (recorded in BENCH.json, never gated on).
-    let intra_bench = if intra > 1 {
-        let intra_span = obs::span_with_parent(
-            "bench_intra",
-            bench_span.id(),
-            vec![("jobs", (intra as u64).into())],
-        );
-        let g = Dataset::Sinaweibo.build(9, 7);
-        let sim = piccolo::Simulation::new(piccolo::SystemKind::Piccolo)
-            .configure(|c| c.with_max_iterations(3));
-        let pr = piccolo_algo::PageRank::default();
-        piccolo::set_intra_jobs(1);
-        let (serial, _) = time_runs(samples, || {
-            sim.run(&g, &pr);
-        });
-        piccolo::set_intra_jobs(intra);
-        let (parallel, _) = time_runs(samples, || {
-            sim.run(&g, &pr);
-        });
-        let bench = IntraBench {
-            jobs: intra,
-            serial_ns: serial.as_nanos() as u64,
-            parallel_ns: parallel.as_nanos() as u64,
-        };
-        println!(
-            "intra speedup (1 large unit): {} thread(s), serial {:.1} ms, parallel {:.1} ms, {:.2}x",
-            bench.jobs,
-            bench.serial_ns as f64 / 1e6,
-            bench.parallel_ns as f64 / 1e6,
-            bench.speedup()
-        );
-        intra_span.close(vec![
-            ("serial_ns", bench.serial_ns.into()),
-            ("parallel_ns", bench.parallel_ns.into()),
-        ]);
-        Some(bench)
-    } else {
-        None
-    };
     bench_span.close(vec![("figures", (benched.len() as u64).into())]);
 
     if !metrics.is_empty() {
@@ -346,14 +291,7 @@ fn main() {
     }
 
     if let Some(path) = &json_path {
-        let doc = bench_json(
-            samples,
-            runner.jobs(),
-            &benched,
-            &metrics,
-            &stats,
-            intra_bench.as_ref(),
-        );
+        let doc = bench_json(samples, runner.jobs(), &benched, &metrics, &stats);
         if let Err(e) = std::fs::write(path, doc) {
             fail(&format!("cannot write {path}: {e}"));
         }

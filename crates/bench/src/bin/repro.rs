@@ -1,11 +1,11 @@
 //! Reproduces the paper's tables and figures and prints their rows.
 //!
-//! Usage: `repro [figure ...] [--quick|--full] [--jobs N] [--intra-jobs N]
-//! [--out results.json] [--external NAME=PATH ...] [--snapshot-dir DIR]
-//! [--shard I/N] [--resume JOURNAL] [--merge SHARD.json...]
-//! [--events PATH] [--events-max-bytes N] [--metrics PATH] [--progress]
-//! [--log-level LEVEL]` where `figure` is one of `fig03 fig09 fig10 fig11 fig12
-//! fig13 fig14 fig15 fig16 fig17 fig18 fig19a fig19b fig20a fig20b table2 area`
+//! Usage: `repro [figure ...] [--quick|--full] [--jobs N] [--out results.json]
+//! [--external NAME=PATH ...] [--snapshot-dir DIR] [--shard I/N]
+//! [--resume JOURNAL] [--merge SHARD.json...] [--events PATH]
+//! [--events-max-bytes N] [--metrics PATH] [--progress] [--log-level LEVEL]`
+//! where `figure` is one of `fig03 fig09 fig10 fig11 fig12 fig13 fig14 fig15
+//! fig16 fig17 fig18 fig19a fig19b fig20a fig20b table2 area`
 //! or `all` (default when no `--external` is given). The common flags are the
 //! shared driver surface ([`piccolo_bench::cli`]); only shard/merge/resume are
 //! repro's own.
@@ -13,11 +13,9 @@
 //! All requested figures run as **one campaign** (`piccolo::campaign`): their grids are
 //! flattened into a single global work queue, `--jobs N` shards it across `N` worker
 //! threads (default: all cores, `--jobs 1` forces the sequential reference path), and
-//! each distinct graph is built exactly once across the whole run. `--intra-jobs M`
-//! additionally parallelizes the *interior* of each simulation across `M` threads
-//! (`docs/parallelism.md`); the `--jobs` budget is split so `unit workers x M` stays
-//! within it. Output — both the printed rows and the optional `results.json` — is
-//! bit-identical for every worker count *and* every intra-thread count; CI diffs the
+//! each distinct graph is built exactly once across the whole run. Each simulation's
+//! interior is serial (`docs/parallelism.md`). Output — both the printed rows and the
+//! optional `results.json` — is bit-identical for every worker count; CI diffs the
 //! outputs to enforce it. Scheduling stats (graphs built vs saved,
 //! wall-clock) go to stderr as well, so they stay visible when stdout is redirected.
 //!
@@ -67,7 +65,7 @@
 use piccolo::campaign::{merge_shards, CampaignStats, Shard};
 use piccolo::experiments::Scale;
 use piccolo::report::{results_json, FigureRows};
-use piccolo::sweep::{effective_unit_jobs, SweepRunner};
+use piccolo::sweep::SweepRunner;
 use piccolo_bench::cli::{build_campaign, CliParser, CommonOpts, FlagSet};
 use piccolo_obs as obs;
 use std::path::{Path, PathBuf};
@@ -107,7 +105,7 @@ fn stats_line(stats: &CampaignStats, jobs: usize, scale: Scale, secs: f64) -> St
          {} distinct graph(s) built once, {} build(s) saved vs per-figure scheduling, \
          {} evicted when their last consumer finished; \
          phases: {} scatter / {} apply DRAM clock(s); \
-         {} worker(s) x {} intra, scale shift {}, {secs:.1} s",
+         {} worker(s), scale shift {}, {secs:.1} s",
         stats.figures,
         stats.sim_runs,
         stats.measure_units,
@@ -117,7 +115,6 @@ fn stats_line(stats: &CampaignStats, jobs: usize, scale: Scale, secs: f64) -> St
         stats.scatter_mem_clocks,
         stats.apply_mem_clocks,
         jobs,
-        piccolo::intra_jobs(),
         scale.scale_shift,
     )
 }
@@ -201,11 +198,7 @@ fn main() {
     // still lands beside the run as metrics.json.
     opts.attach_sinks(&cli);
 
-    // Two-level thread budget: --jobs is the total; each simulation gets --intra-jobs
-    // threads for its own scatter/apply interior and the unit-level pool gets the
-    // rest. Results are byte-identical for every split (docs/parallelism.md).
-    piccolo::set_intra_jobs(opts.intra_jobs);
-    let runner = SweepRunner::new(effective_unit_jobs(opts.jobs, piccolo::intra_jobs()));
+    let runner = SweepRunner::new(opts.jobs);
     let started = std::time::Instant::now();
     let setup = build_campaign(&opts).unwrap_or_else(|e| cli.fail(&e));
     for f in &setup.unknown {

@@ -1,6 +1,6 @@
 //! One flag surface for every driver: `repro`, the bench harness, `graphtool`,
 //! and the `piccolo-serve` / `piccolo-worker` entry points all parse the shared
-//! options (`--jobs`, `--intra-jobs`, `--external`, `--snapshot-dir`,
+//! options (`--jobs`, `--external`, `--snapshot-dir`,
 //! `--events`, `--events-max-bytes`, `--metrics`, `--log-level`, `--out`,
 //! `--quick`/`--full`, `--progress`) through [`CommonOpts`], so a flag spelled
 //! the same way means the same thing everywhere and unknown-flag / usage errors
@@ -8,8 +8,8 @@
 //!
 //! Each driver enables only the subset it supports ([`FlagSet`]); a disabled
 //! common flag falls through to the driver's unknown-flag error exactly like a
-//! misspelled one. The campaign-shaping subset (figures, scale, intra-jobs,
-//! externals, snapshot dir) round-trips through compact JSON
+//! misspelled one. The campaign-shaping subset (figures, scale, externals,
+//! snapshot dir) round-trips through compact JSON
 //! ([`CommonOpts::to_wire_json`] / [`CommonOpts::from_wire_json`]), which is how
 //! a `piccolo-worker` inherits the coordinator's options over the wire instead
 //! of re-specifying them.
@@ -74,8 +74,6 @@ pub struct FlagSet {
     pub scale: bool,
     /// `--jobs N`.
     pub jobs: bool,
-    /// `--intra-jobs N`.
-    pub intra_jobs: bool,
     /// `--out PATH`.
     pub out: bool,
     /// `--external NAME=PATH` (repeatable).
@@ -99,7 +97,6 @@ impl FlagSet {
         Self {
             scale: true,
             jobs: true,
-            intra_jobs: true,
             out: true,
             external: true,
             snapshot_dir: true,
@@ -119,9 +116,6 @@ impl FlagSet {
         }
         if self.jobs {
             parts.push("[--jobs N]");
-        }
-        if self.intra_jobs {
-            parts.push("[--intra-jobs N]");
         }
         if self.out {
             parts.push("[--out PATH]");
@@ -160,8 +154,6 @@ pub struct CommonOpts {
     pub quick: bool,
     /// `--jobs N` worker threads; 0 = all cores.
     pub jobs: usize,
-    /// `--intra-jobs M` threads inside each simulation; 0 = all cores.
-    pub intra_jobs: usize,
     /// `--out PATH` output override.
     pub out: Option<String>,
     /// `--external NAME=PATH` pairs, in order, names deduplicated.
@@ -187,7 +179,6 @@ impl CommonOpts {
             figures: Vec::new(),
             quick: false,
             jobs: 0,
-            intra_jobs: 1,
             out: None,
             externals: Vec::new(),
             snapshot_dir: None,
@@ -216,12 +207,6 @@ impl CommonOpts {
                 self.jobs = v
                     .parse()
                     .unwrap_or_else(|_| cli.fail(&format!("invalid --jobs value '{v}'")));
-            }
-            "--intra-jobs" if self.enabled.intra_jobs => {
-                let v = cli.value("--intra-jobs", it);
-                self.intra_jobs = v
-                    .parse()
-                    .unwrap_or_else(|_| cli.fail(&format!("invalid --intra-jobs value '{v}'")));
             }
             "--out" if self.enabled.out => self.out = Some(cli.value("--out", it).to_string()),
             "--external" if self.enabled.external => {
@@ -301,8 +286,8 @@ impl CommonOpts {
         }
     }
 
-    /// Serializes the campaign-shaping subset (figures, scale, intra-jobs,
-    /// externals, snapshot dir) as compact JSON — what a coordinator sends so
+    /// Serializes the campaign-shaping subset (figures, scale, externals,
+    /// snapshot dir) as compact JSON — what a coordinator sends so
     /// its workers inherit the options that define the plan. Paths travel
     /// verbatim: external graphs and snapshot dirs must resolve on the worker.
     #[must_use]
@@ -313,7 +298,6 @@ impl CommonOpts {
                 Json::Arr(self.figures.iter().map(Json::str).collect()),
             ),
             ("quick", Json::Bool(self.quick)),
-            ("intra_jobs", Json::Num(self.intra_jobs as f64)),
             (
                 "externals",
                 Json::Arr(
@@ -358,12 +342,6 @@ impl CommonOpts {
             Some(Json::Bool(b)) => *b,
             _ => return Err("options: missing quick".to_string()),
         };
-        let intra = doc
-            .get("intra_jobs")
-            .and_then(Json::as_f64)
-            .filter(|n| n.fract() == 0.0 && *n >= 0.0)
-            .ok_or("options: bad intra_jobs")?;
-        opts.intra_jobs = intra as usize;
         let externals = doc
             .get("externals")
             .and_then(Json::as_array)
@@ -465,8 +443,6 @@ mod tests {
             "--quick",
             "--jobs",
             "4",
-            "--intra-jobs",
-            "2",
             "--out",
             "r.json",
             "--external",
@@ -481,7 +457,7 @@ mod tests {
             "m.json",
         ]);
         assert!(opts.quick);
-        assert_eq!((opts.jobs, opts.intra_jobs), (4, 2));
+        assert_eq!(opts.jobs, 4);
         assert_eq!(opts.out.as_deref(), Some("r.json"));
         assert_eq!(opts.externals, vec![("web".into(), "graph.txt".into())]);
         assert_eq!(opts.snapshot_dir.as_deref(), Some(Path::new("snaps")));
@@ -511,14 +487,12 @@ mod tests {
         let mut opts = CommonOpts::new(FlagSet::all());
         opts.figures = strings(&["fig10", "table2"]);
         opts.quick = true;
-        opts.intra_jobs = 3;
         opts.externals = vec![("web".into(), "a/b.txt".into())];
         opts.snapshot_dir = Some(PathBuf::from("snaps"));
         let wire = opts.to_wire_json();
         let back = CommonOpts::from_wire_json(&wire).unwrap();
         assert_eq!(back.figures, opts.figures);
         assert_eq!(back.quick, opts.quick);
-        assert_eq!(back.intra_jobs, opts.intra_jobs);
         assert_eq!(back.externals, opts.externals);
         assert_eq!(back.snapshot_dir, opts.snapshot_dir);
         // Local-only fields reset to defaults on the receiving side.

@@ -9,7 +9,9 @@
 //! * a writer ([`Json::to_string`] / [`Json::write`]) whose number formatting is
 //!   bit-reproducible across runs — required for the sequential-vs-parallel parity check
 //!   in CI, which byte-compares two `results.json` files,
-//! * a recursive-descent parser ([`parse`]) for reading the checked-in baseline floors.
+//! * a recursive-descent parser ([`parse`]) for reading the checked-in baseline floors
+//!   and the coordinator's wire messages. It refuses documents nested deeper than
+//!   [`MAX_DEPTH`], so hostile input cannot overflow the stack.
 //!
 //! # Example
 //!
@@ -187,11 +189,16 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parses a JSON document. Rejects trailing garbage.
+/// The deepest array/object nesting [`parse`] accepts.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses a JSON document. Rejects trailing garbage and nesting deeper than
+/// [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -205,6 +212,8 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -249,8 +258,19 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting too deep"));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -445,6 +465,14 @@ mod tests {
         assert_eq!(pts[0].get("value").and_then(Json::as_f64), Some(2.25));
         assert_eq!(v.get("ok"), Some(&Json::Bool(true)));
         assert_eq!(v.get("n"), Some(&Json::Null));
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+        assert!(parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

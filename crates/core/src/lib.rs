@@ -50,13 +50,11 @@ pub use campaign::{
 };
 pub use experiments::{Point, Scale};
 pub use piccolo_accel::{
-    intra_jobs, phase_profile, reset_phase_profile, set_intra_jobs, take_thread_phase_profile,
-    CacheKind, PhaseBreakdown, PhaseProfile, SimConfig, SystemKind, TilingPolicy,
+    phase_profile, reset_phase_profile, take_thread_phase_profile, CacheKind, PhaseBreakdown,
+    PhaseProfile, SimConfig, SystemKind, TilingPolicy,
 };
 pub use report::{area_report, AreaReport, EnergyBreakdown, FigureRows, SimReport};
-pub use sweep::{
-    effective_unit_jobs, ExperimentSpec, GraphKey, RunConfig, SweepRunner, TraversalKind,
-};
+pub use sweep::{ExperimentSpec, GraphKey, RunConfig, SweepRunner, TraversalKind};
 
 use piccolo_algo::VertexProgram;
 use piccolo_graph::Csr;
@@ -92,21 +90,13 @@ impl Simulation {
     }
 
     /// Runs `program` on `graph` and returns the full report.
-    pub fn run<P>(&self, graph: &Csr, program: &P) -> SimReport
-    where
-        P: VertexProgram + Sync,
-        P::Value: Send + Sync,
-    {
+    pub fn run<P: VertexProgram>(&self, graph: &Csr, program: &P) -> SimReport {
         let result = piccolo_accel::simulate(graph, program, &self.cfg);
         SimReport::from_run(result, &self.cfg.dram)
     }
 
     /// Runs `program` with the edge-centric accelerator variant (Fig. 19a).
-    pub fn run_edge_centric<P>(&self, graph: &Csr, program: &P) -> SimReport
-    where
-        P: VertexProgram + Sync,
-        P::Value: Send + Sync,
-    {
+    pub fn run_edge_centric<P: VertexProgram>(&self, graph: &Csr, program: &P) -> SimReport {
         let result = piccolo_accel::simulate_edge_centric(graph, program, &self.cfg);
         SimReport::from_run(result, &self.cfg.dram)
     }

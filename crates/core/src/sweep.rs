@@ -424,25 +424,6 @@ where
     results
 }
 
-/// Splits a total thread budget between the two parallelism levels: unit-level
-/// workers (this module's pool) and intra-run workers inside each simulation
-/// ([`piccolo_accel::set_intra_jobs`]). `jobs == 0` means the machine's available
-/// parallelism. The unit pool gets `jobs / intra_jobs` workers (at least one), so
-/// `unit workers x intra workers` never exceeds the budget by more than rounding.
-///
-/// The split affects scheduling only — results are byte-identical for every
-/// combination, which is what lets `repro --jobs N --intra-jobs M` pick any shape.
-pub fn effective_unit_jobs(jobs: usize, intra_jobs: usize) -> usize {
-    let total = if jobs == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        jobs
-    };
-    (total / intra_jobs.max(1)).max(1)
-}
-
 /// Executes [`ExperimentSpec`]s over a worker pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepRunner {
@@ -599,19 +580,5 @@ mod tests {
         assert!(SweepRunner::new(0).jobs() >= 1);
         assert_eq!(SweepRunner::sequential().jobs(), 1);
         assert_eq!(SweepRunner::new(7).jobs(), 7);
-    }
-
-    #[test]
-    fn unit_jobs_split_the_thread_budget() {
-        assert_eq!(effective_unit_jobs(8, 1), 8);
-        assert_eq!(effective_unit_jobs(8, 2), 4);
-        assert_eq!(effective_unit_jobs(8, 3), 2);
-        assert_eq!(effective_unit_jobs(2, 8), 1, "intra can exceed the budget");
-        assert_eq!(effective_unit_jobs(8, 0), 8, "intra 0 is treated as 1 here");
-        assert!(effective_unit_jobs(0, 1) >= 1, "jobs 0 means all cores");
-        assert!(
-            effective_unit_jobs(0, 2) <= effective_unit_jobs(0, 1),
-            "raising intra never raises the unit pool"
-        );
     }
 }

@@ -1,51 +1,12 @@
 //! Streaming FNV-1a 64-bit hashing: section checksums for `.pcsr` files and the
-//! content hash that keys the snapshot cache. Self-contained (no crates.io) and
-//! stable across platforms — the checksum bytes are part of the on-disk format.
+//! content hash that keys the snapshot cache. The hasher itself is the
+//! workspace's one FNV-1a implementation in `piccolo_obs::hash`, re-exported
+//! here; the checksum bytes are part of the on-disk format.
 
 use std::io::Read;
 use std::path::Path;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Incremental FNV-1a 64-bit hasher.
-#[derive(Debug, Clone)]
-pub struct Fnv64(u64);
-
-impl Fnv64 {
-    /// A fresh hasher at the FNV offset basis.
-    pub fn new() -> Self {
-        Fnv64(FNV_OFFSET)
-    }
-
-    /// Folds `bytes` into the running hash.
-    pub fn update(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        self.0 = h;
-    }
-
-    /// The current hash value.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Hashes a whole byte slice in one call.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.update(bytes);
-    h.finish()
-}
+pub use piccolo_obs::hash::{fnv64, Fnv64};
 
 /// Streams a file through FNV-1a in 64 KiB chunks (never materializes the file).
 pub fn hash_file(path: &Path) -> std::io::Result<u64> {
@@ -58,26 +19,5 @@ pub fn hash_file(path: &Path) -> std::io::Result<u64> {
             return Ok(hasher.finish());
         }
         hasher.update(&buf[..n]);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn matches_reference_vectors() {
-        // Standard FNV-1a 64 test vectors.
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv64(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn incremental_equals_oneshot() {
-        let mut h = Fnv64::new();
-        h.update(b"foo");
-        h.update(b"bar");
-        assert_eq!(h.finish(), fnv64(b"foobar"));
     }
 }

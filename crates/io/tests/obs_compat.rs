@@ -1,11 +1,11 @@
 //! Pins the compatibility contract between `piccolo-io` and the shared line
 //! codec that moved into `piccolo-obs`.
 //!
-//! Two independent FNV-1a-64 implementations exist on purpose — `io::hash`
-//! serves the `.pcsr` binary sections and must not depend on the observability
-//! crate; `piccolo_obs::linecodec` frames journals and event logs. These tests
-//! keep them interchangeable, so historical journals and `.pcsr` files stay
-//! readable no matter which side computes the checksum.
+//! There is one FNV-1a-64 implementation, in `piccolo_obs::hash`: `io::hash`
+//! re-exports it for the `.pcsr` binary sections and `piccolo_obs::linecodec`
+//! uses it to frame journals and event logs. These tests keep both paths
+//! interchangeable, so historical journals and `.pcsr` files stay readable no
+//! matter which side computes the checksum.
 
 use piccolo_io::{hash, journal};
 

@@ -1,7 +1,7 @@
 //! `piccolo-lint` — a workspace-wide determinism & safety analyzer.
 //!
 //! The workspace's core guarantee — byte-identical `results.json` across any
-//! `--jobs` / `--intra-jobs` / shard / resume split — is protected after the
+//! `--jobs` / shard / resume split — is protected after the
 //! fact by property tests. This crate protects it *before* the fact: a
 //! hand-rolled, comment- and string-aware Rust lexer ([`lexer`]) feeds a rule
 //! catalog ([`rules`]) that statically rejects the classic regressions

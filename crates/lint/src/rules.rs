@@ -2,7 +2,7 @@
 //!
 //! Every rule is grounded in an invariant the workspace already relies on —
 //! mostly the headline guarantee that `results.json` is byte-identical across
-//! any `--jobs` / `--intra-jobs` / shard / resume split. The rules are
+//! any `--jobs` / shard / resume split. The rules are
 //! token-level analyses over [`SourceFile`]s: no type information, so each
 //! rule documents its heuristic precisely and `// lint: allow(rule, reason)`
 //! is the escape hatch for the false positives a heuristic admits.

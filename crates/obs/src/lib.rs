@@ -6,7 +6,7 @@
 //! event log, a metrics document, or stderr — and never back into any
 //! deterministic artifact: `results.json`, shard documents, run journals and
 //! plan hashes are byte-identical with tracing on or off, at any `--jobs` /
-//! `--intra-jobs` / shard / resume split. See `docs/observability.md`.
+//! shard / resume split. See `docs/observability.md`.
 //!
 //! The crate is hand-rolled and dependency-free, like the rest of the
 //! workspace. It provides:
@@ -24,6 +24,9 @@
 //!   exported as `piccolo-metrics/v1`.
 //! * **Validation** — [`check::check_events`], the library behind
 //!   `graphtool events-check`.
+//! * **Hashing** — the workspace's one FNV-1a 64 implementation
+//!   ([`hash::Fnv64`], [`hash::fnv64`]), shared by the line codec, `.pcsr`
+//!   checksums, plan hashes and run digests.
 //!
 //! # Emission is free when nothing listens
 //!
@@ -37,6 +40,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod check;
+pub mod hash;
 pub mod json;
 pub mod linecodec;
 pub mod metrics;

@@ -19,20 +19,10 @@
 use std::io::{BufRead, Write};
 use std::path::Path;
 
+pub use crate::hash::fnv64;
+
 /// Width of the hex checksum prefix (FNV-1a 64 in lowercase hex).
 const CHECKSUM_HEX: usize = 16;
-
-/// FNV-1a 64-bit over `bytes` — the same function `piccolo_io::hash` uses for
-/// `.pcsr` section checksums (pinned against it by `crates/io` tests).
-#[must_use]
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Encodes one line (without trailing newline): checksum prefix + payload.
 ///

@@ -37,8 +37,7 @@ use std::time::Duration;
 /// Worker tunables; every field has a driver flag.
 #[derive(Debug, Clone)]
 pub struct WorkerConfig {
-    /// Intra-unit simulation lanes (`--intra-jobs` equivalent is inherited
-    /// from the coordinator; this is the unit-level `--jobs` for one lease).
+    /// Unit-level worker threads for one lease (`--jobs`).
     pub jobs: usize,
     /// Name reported in `hello` (shows up in the coordinator's worker spans).
     pub name: String,
@@ -135,7 +134,6 @@ pub fn run_worker(addr: &str, cfg: &WorkerConfig) -> Result<WorkerSummary, Strin
         obs::warn(format!("{}: {warning}", cfg.name));
     }
     let campaign = PlannedCampaign::new(setup.scale, setup.specs);
-    piccolo::set_intra_jobs(opts.intra_jobs);
     send_locked(&writer, &ready_msg(&campaign.plan_hex()))
         .map_err(|e| format!("ready failed: {e}"))?;
     obs::info(format!(
