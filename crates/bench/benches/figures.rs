@@ -42,6 +42,7 @@
 
 #![forbid(unsafe_code)]
 
+use piccolo::campaign::{PlannedCampaign, Shard};
 use piccolo::experiments::{self, Scale};
 use piccolo::sweep::{ExperimentSpec, SweepRunner};
 use piccolo_algo::Algorithm;
@@ -240,10 +241,13 @@ fn main() {
 
     // One campaign over every selected figure doubles as warmup and row capture for the
     // speedup metrics: each distinct graph is built exactly once across all figures.
-    let campaign = runner.run_campaign(&specs);
+    let campaign = PlannedCampaign::new(tiny(), specs);
+    let capture = campaign
+        .run(runner.jobs(), Shard::WHOLE, None)
+        .expect("a run without a journal cannot fail");
 
     println!("{:<28} {:>12} {:>12}", "benchmark", "min", "mean");
-    for (spec, figure) in specs.iter().zip(&campaign.figures) {
+    for (spec, figure) in campaign.specs().iter().zip(&capture.figures) {
         // Timed samples still run each figure standalone (a campaign of one), so
         // per-figure wall-clock stays comparable across history.
         let figure_span = obs::span_with_parent(
@@ -273,7 +277,7 @@ fn main() {
             mean_ms: mean.as_secs_f64() * 1e3,
         });
     }
-    let stats = campaign.stats;
+    let stats = capture.stats;
     println!(
         "campaign capture: {} distinct graph(s) built once, {} build(s) saved vs per-figure scheduling; \
          phases: {} scatter / {} apply DRAM clock(s)",

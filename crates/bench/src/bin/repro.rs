@@ -20,23 +20,20 @@
 //! wall-clock) go to stderr as well, so they stay visible when stdout is redirected.
 //!
 //! Beyond threads, a campaign also splits across **OS processes** and **invocations**
-//! (`docs/results-schema.md` documents the file formats):
+//! (`docs/results-schema.md` documents the file formats). `--shard I/N` and
+//! `--resume JOURNAL` are the two arguments of the one campaign entry point
+//! (`PlannedCampaign::run`), so they compose:
 //!
 //! * `--shard I/N` executes only the grid slots with `unit_index % N == I` and writes
 //!   a `piccolo-results-shard/v1` document (default `results.shard-I-of-N.json`);
 //!   every shard still builds exactly the graphs its own units need.
-//! * `--merge A.json B.json ...` validates a complete shard set (matching plan hash
-//!   for *this* invocation's figures and scale), merges the grid, evaluates derived
-//!   rows once, and writes a `results.json` byte-identical to an unsharded run.
 //! * `--resume JOURNAL` journals one checksummed line per completed unit and, on
-//!   re-invocation, replays verified entries instead of re-running them — a killed
-//!   campaign finishes in the time of its missing units, with identical bytes.
-//! * `--shard I/N --resume JOURNAL` **composes**: journal entries carry global unit
-//!   indices, so the shard projection replays its journaled slots and executes only
-//!   the rest. A killed shard re-invocation, or several shards sharing one journal,
-//!   merge to the same bytes either way — the same at-least-once substrate the
-//!   `piccolo-serve` coordinator's work leases run on. Only `--merge` is exclusive
-//!   (it recombines other runs' outputs instead of executing anything).
+//!   re-invocation, replays the shard's verified entries instead of re-running them —
+//!   a killed campaign finishes in the time of its missing units, with identical
+//!   bytes, and several shards can share one journal.
+//! * `--merge A.json B.json ...` (exclusive with both) validates a complete shard set
+//!   against *this* invocation's plan hash, merges the grid, evaluates derived rows
+//!   once, and writes a `results.json` byte-identical to an unsharded run.
 //!
 //! `--external NAME=PATH` (repeatable) loads a real graph — plain edge list, SNAP TSV,
 //! MatrixMarket or an existing `.pcsr` snapshot — through the `piccolo-io` snapshot
@@ -62,7 +59,7 @@
 
 #![forbid(unsafe_code)]
 
-use piccolo::campaign::{merge_shards, CampaignStats, Shard};
+use piccolo::campaign::{merge_shards, CampaignRun, CampaignStats, PlannedCampaign, Shard};
 use piccolo::experiments::Scale;
 use piccolo::report::{results_json, FigureRows};
 use piccolo::sweep::SweepRunner;
@@ -116,6 +113,27 @@ fn stats_line(stats: &CampaignStats, jobs: usize, scale: Scale, secs: f64) -> St
         stats.apply_mem_clocks,
         jobs,
         scale.scale_shift,
+    )
+}
+
+/// The note a journaled run prints after its stats line: what the journal replayed,
+/// what this run executed, and what it ignored.
+fn resume_note(run: &CampaignRun, journal: &Path) -> String {
+    let ignored = if run.corrupt + run.mismatched > 0 {
+        format!(
+            " ({} corrupt line(s) and {} foreign entr(ies) ignored)",
+            run.corrupt, run.mismatched
+        )
+    } else {
+        String::new()
+    };
+    format!(
+        "resume: {} unit(s) replayed from {}, {} executed this run, \
+         {} journaled graph build(s) skipped{ignored}",
+        run.replayed,
+        journal.display(),
+        run.executed,
+        run.builds_skipped,
     )
 }
 
@@ -198,13 +216,14 @@ fn main() {
     // still lands beside the run as metrics.json.
     opts.attach_sinks(&cli);
 
-    let runner = SweepRunner::new(opts.jobs);
+    let jobs = SweepRunner::new(opts.jobs).jobs();
     let started = std::time::Instant::now();
     let setup = build_campaign(&opts).unwrap_or_else(|e| cli.fail(&e));
     for f in &setup.unknown {
         obs::warn(format!("unknown figure '{f}'"));
     }
-    let (scale, specs) = (setup.scale, setup.specs);
+    let scale = setup.scale;
+    let campaign = PlannedCampaign::new(scale, setup.specs);
     let out_path = opts.out.clone();
     let metrics_path = opts.metrics.clone();
 
@@ -218,8 +237,8 @@ fn main() {
                     .unwrap_or_else(|e| cli.fail(&format!("cannot read shard file {p}: {e}")))
             })
             .collect();
-        let merged =
-            merge_shards(scale, &specs, &docs).unwrap_or_else(|e| cli.fail(&format!("merge: {e}")));
+        let merged = merge_shards(scale, campaign.specs(), &docs)
+            .unwrap_or_else(|e| cli.fail(&format!("merge: {e}")));
         print_figures(&merged);
         let doc = results_json(scale, &merged);
         write_out(out_path.as_deref().unwrap_or("results.json"), &doc);
@@ -238,112 +257,46 @@ fn main() {
         return;
     }
 
-    // --shard: execute this process's projection of the grid and write the shard
-    // document; derived rows need the whole grid, so figures are printed by --merge.
-    // With --resume too, journaled slots replay instead of re-running and freshly
-    // executed ones are appended — the same at-least-once substrate piccolo-serve
-    // leases run on.
-    if let Some(shard) = shard {
-        let (run, resume_note) = match &resume_path {
-            Some(journal) => {
-                let resumed = runner
-                    .run_campaign_shard_resumed(scale, &specs, shard, journal)
-                    .unwrap_or_else(|e| {
-                        cli.fail(&format!("cannot use journal {}: {e}", journal.display()))
-                    });
-                let note = format!(
-                    "resume: {} unit(s) replayed from {}, {} executed this run, \
-                     {} journaled graph build(s) skipped{}",
-                    resumed.replayed,
-                    journal.display(),
-                    resumed.executed,
-                    resumed.builds_skipped,
-                    if resumed.corrupt + resumed.mismatched > 0 {
-                        format!(
-                            " ({} corrupt line(s) and {} foreign entr(ies) ignored)",
-                            resumed.corrupt, resumed.mismatched
-                        )
-                    } else {
-                        String::new()
-                    }
-                );
-                (resumed.run, Some(note))
-            }
-            None => (runner.run_campaign_shard(scale, &specs, shard), None),
-        };
-        let default_name = format!("results.shard-{}-of-{}.json", shard.index, shard.count);
-        write_out(out_path.as_deref().unwrap_or(&default_name), &run.to_json());
-        let line = format!(
-            "shard {shard}: {} of the campaign's grid unit(s) executed; {}",
-            run.num_units(),
-            stats_line(
-                &run.stats,
-                runner.jobs(),
-                scale,
-                started.elapsed().as_secs_f64()
-            )
-        );
-        println!("{line}");
-        obs::info(line);
-        if let Some(note) = resume_note {
-            println!("{note}");
-            obs::info(note);
-        }
-        if let Some(path) = &metrics_path {
-            write_metrics(path);
-        }
-        obs::flush_sinks();
-        return;
-    }
-
-    // One campaign over every requested figure: one global worker pool, each distinct
-    // graph built exactly once across the whole run. With --resume, completed units
-    // are replayed from / appended to the journal.
-    let (campaign, resume_note) = match &resume_path {
-        Some(journal) => {
-            let resumed = runner
-                .run_campaign_resumed(scale, &specs, journal)
-                .unwrap_or_else(|e| {
-                    cli.fail(&format!("cannot use journal {}: {e}", journal.display()))
-                });
-            let note = format!(
-                "resume: {} unit(s) replayed from {}, {} executed this run, \
-                 {} journaled graph build(s) skipped{}",
-                resumed.replayed,
-                journal.display(),
-                resumed.executed,
-                resumed.builds_skipped,
-                if resumed.corrupt + resumed.mismatched > 0 {
-                    format!(
-                        " ({} corrupt line(s) and {} foreign entr(ies) ignored)",
-                        resumed.corrupt, resumed.mismatched
-                    )
-                } else {
-                    String::new()
-                }
+    // One campaign over every requested figure, or this process's --shard projection
+    // of it: one global worker pool, each distinct graph built exactly once. With
+    // --resume, journaled slots replay instead of re-running and freshly executed ones
+    // are appended — the same at-least-once substrate piccolo-serve leases run on.
+    let journal = resume_path.as_deref();
+    let run = campaign
+        .run(jobs, shard.unwrap_or(Shard::WHOLE), journal)
+        .unwrap_or_else(|e| {
+            let path = journal.expect("only a journal can fail a run");
+            cli.fail(&format!("cannot use journal {}: {e}", path.display()))
+        });
+    let prefix = match shard {
+        // Derived rows need the whole grid, so a shard writes its document and the
+        // figures are printed by --merge.
+        Some(shard) => {
+            let default_name = format!("results.shard-{}-of-{}.json", shard.index, shard.count);
+            write_out(
+                out_path.as_deref().unwrap_or(&default_name),
+                &run.shard_json(),
             );
-            (resumed.run, Some(note))
+            format!(
+                "shard {shard}: {} of the campaign's grid unit(s) executed; ",
+                run.num_units()
+            )
         }
-        None => (runner.run_campaign(&specs), None),
+        None => {
+            print_figures(&run.figures);
+            if let Some(path) = &out_path {
+                write_out(path, &results_json(scale, &run.figures));
+            }
+            String::new()
+        }
     };
-    print_figures(&campaign.figures);
-
-    if let Some(path) = &out_path {
-        let doc = results_json(scale, &campaign.figures);
-        write_out(path, &doc);
-    }
-
-    let line = stats_line(
-        &campaign.stats,
-        runner.jobs(),
-        scale,
-        started.elapsed().as_secs_f64(),
-    );
+    let line = prefix + &stats_line(&run.stats, jobs, scale, started.elapsed().as_secs_f64());
     println!("{line}");
     // CI's parity jobs redirect stdout to /dev/null; keep the dedup and resume stats
     // visible in their logs so regressions are easy to spot.
     obs::info(line);
-    if let Some(note) = resume_note {
+    if let Some(journal) = journal {
+        let note = resume_note(&run, journal);
         println!("{note}");
         obs::info(note);
     }

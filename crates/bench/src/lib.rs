@@ -705,9 +705,9 @@ mod tests {
 
     #[test]
     fn sidecar_fast_path_registers_lazily_and_full_replay_never_materializes() {
+        use piccolo::campaign::{PlannedCampaign, Shard};
         use piccolo::experiments::{external_spec, Scale};
         use piccolo::report::results_json;
-        use piccolo::sweep::SweepRunner;
         use piccolo_graph::{external, generate, Dataset};
         use std::io::Write as _;
 
@@ -750,11 +750,9 @@ mod tests {
             seed: 7,
             max_iterations: 2,
         };
-        let specs = [external_spec(scale, &[ds])];
+        let campaign = PlannedCampaign::new(scale, vec![external_spec(scale, &[ds])]);
         let journal = dir.join("journal.jsonl");
-        let first = SweepRunner::sequential()
-            .run_campaign_resumed(scale, &specs, &journal)
-            .unwrap();
+        let first = campaign.run(1, Shard::WHOLE, Some(&journal)).unwrap();
         assert!(first.executed > 0);
 
         // Second invocation: snapshot + sidecar exist, so registration is lazy (same
@@ -775,20 +773,18 @@ mod tests {
 
         // … and a fully-replayed resume finishes the campaign without ever running
         // the loader: same bytes, zero graphs built or loaded.
-        let resumed = SweepRunner::sequential()
-            .run_campaign_resumed(scale, &specs, &journal)
-            .unwrap();
+        let resumed = campaign.run(1, Shard::WHOLE, Some(&journal)).unwrap();
         assert_eq!(resumed.executed, 0);
         assert_eq!(resumed.replayed, first.executed + first.replayed);
-        assert_eq!(resumed.run.stats.graphs_built, 0);
+        assert_eq!(resumed.stats.graphs_built, 0);
         assert_eq!(
             external::is_loaded(id),
             Some(false),
             "a fully-replayed campaign never loads the external graph"
         );
         assert_eq!(
-            results_json(scale, &resumed.run.figures),
-            results_json(scale, &first.run.figures),
+            results_json(scale, &resumed.figures),
+            results_json(scale, &first.figures),
             "replayed results are byte-identical"
         );
 

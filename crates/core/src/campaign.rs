@@ -38,29 +38,36 @@
 //!    byte-identical for any worker count — the property CI enforces on the sharded
 //!    repro matrix.
 //!
-//! # Sharding and resuming
+//! # One entry point: shards and journals
 //!
 //! The flattened grid gives every unit a stable **global unit index** (figure-major
 //! registration order), and [`plan_hash`] fingerprints the whole plan — scale, spec
-//! names, every unit's configuration. On top of those two invariants:
+//! names, every unit's configuration. [`PlannedCampaign::run`] is the one local way
+//! to execute a plan, and its two arguments compose on those invariants:
 //!
-//! * [`SweepRunner::run_campaign_shard`] executes the deterministic shard projection
-//!   `unit index % count == index` ([`Shard`]) and serializes the raw unit results as a
-//!   `piccolo-results-shard/v1` document ([`ShardRun::to_json`]). Each shard schedules
-//!   exactly the graph builds its own units need, with refcounts scoped to the shard,
-//!   so eviction stats stay exact per shard.
-//! * [`merge_shards`] validates a complete shard set against the plan hash, un-permutes
-//!   the slots, evaluates derived rows once over the merged grid, and yields figures
-//!   whose `results.json` is **byte-identical** to a single-process run of any worker
-//!   count (`repro --merge`).
-//! * [`SweepRunner::run_campaign_resumed`] journals one checksummed line per completed
-//!   unit (the `campaign/journal.rs` module; line format `piccolo_io::journal`) and
-//!   pre-fills matching slots on the next invocation, scheduling only the remainder —
-//!   a killed campaign finishes in the time of its missing units, with the same output
-//!   bytes (`repro --resume`).
+//! * A [`Shard`] selects the deterministic projection `unit index % count == index`
+//!   ([`Shard::WHOLE`] is the whole grid). Each shard schedules exactly the graph
+//!   builds its own units need, with refcounts scoped to the shard, so eviction stats
+//!   stay exact per shard. A shard's results serialize as a
+//!   `piccolo-results-shard/v1` document ([`CampaignRun::shard_json`]);
+//!   [`merge_shards`] validates a complete set against the plan hash, un-permutes the
+//!   slots, evaluates derived rows once over the merged grid, and yields figures whose
+//!   `results.json` is **byte-identical** to a single-process run of any worker count
+//!   (`repro --merge`).
+//! * A journal path records one checksummed line per completed unit (the
+//!   `campaign/journal.rs` module; line format `piccolo_io::journal`) and pre-fills the
+//!   shard's matching slots on the next invocation, scheduling only the remainder — a
+//!   killed campaign finishes in the time of its missing units, with the same output
+//!   bytes (`repro --resume`, alone or with `--shard`).
 //!
-//! [`SweepRunner::run`] is a campaign of one figure, so every figure entry point in
-//! [`crate::experiments`] routes through this scheduler.
+//! Every result path fills one slot grid before a derived row is evaluated. Merged
+//! shard documents and network-collected results ([`PlannedCampaign::evaluate`]) are
+//! checked slot by slot (range, duplicate, unit kind, lossless decode), and every path,
+//! a local run's executed and replayed slots included, is checked for coverage.
+//! [`SweepRunner::run`] is a campaign of one figure over the same executor, so every
+//! figure entry point in [`crate::experiments`] routes through this scheduler.
+//!
+//! [`SweepRunner::run`]: crate::sweep::SweepRunner::run
 
 mod codec;
 mod journal;
@@ -68,7 +75,7 @@ mod journal;
 use crate::experiments::Scale;
 use crate::json::{parse, Json};
 use crate::report::FigureRows;
-use crate::sweep::{run_indexed, ExperimentSpec, GraphKey, SweepRunner, Unit, UnitResult};
+use crate::sweep::{run_indexed, ExperimentSpec, GraphKey, Unit, UnitResult};
 use piccolo_graph::Csr;
 use piccolo_obs as obs;
 use std::collections::BTreeMap;
@@ -119,13 +126,87 @@ pub struct CampaignStats {
     pub apply_mem_clocks: u64,
 }
 
-/// Output of [`SweepRunner::run_campaign`]: every figure's rows plus scheduling stats.
-#[derive(Debug, Clone)]
+/// Output of [`PlannedCampaign::run`]: the results of one [`Shard`] of the grid, the
+/// scheduling stats of the units it executed, and what the journal contributed (the
+/// resume counters are all zero without a journal).
+#[derive(Debug)]
 pub struct CampaignRun {
-    /// One entry per requested figure, in request order.
+    /// One entry per requested figure, in request order, when the run covers the whole
+    /// grid ([`Shard::WHOLE`]). Empty for a partial shard: derived rows need every
+    /// slot, so its figures exist only after [`merge_shards`].
     pub figures: Vec<FigureRows>,
-    /// Scheduling statistics (graphs built vs saved, unit counts).
+    /// Scheduling statistics of the units this run executed (replayed slots and other
+    /// shards' units are not in them).
     pub stats: CampaignStats,
+    /// Slots of the shard pre-filled from the journal. Journal entries outside the
+    /// shard are left untouched (their own shards replay them).
+    pub replayed: usize,
+    /// Units executed (and appended to the journal, if any) by this run.
+    pub executed: usize,
+    /// Journal lines dropped by the checksum check; each costs one re-run.
+    pub corrupt: usize,
+    /// Well-formed journal entries ignored because they belong to a different plan
+    /// (figure set, scale, or spec revision) or name an impossible slot.
+    pub mismatched: usize,
+    /// Journaled graph builds this run did **not** repeat, because every unit of those
+    /// graphs replayed: a fully-replayed resume is O(journal), not O(graph).
+    pub builds_skipped: usize,
+    shard: Shard,
+    plan: u64,
+    scale: Scale,
+    /// The shard's unit results (replayed and executed alike) in ascending global unit
+    /// order: the `k`-th belongs to unit `shard.index + k * shard.count`.
+    units: Vec<UnitResult>,
+}
+
+impl CampaignRun {
+    /// Number of grid units in the shard, replayed and executed alike.
+    pub fn num_units(&self) -> usize {
+        self.units.len()
+    }
+
+    /// Serializes the shard as a `piccolo-results-shard/v1` document: plan hash, shard
+    /// coordinates, scale, and one `{unit, result}` entry per slot in ascending global
+    /// unit order (deterministic bytes, like everything else in the results pipeline).
+    /// [`merge_shards`] recombines a complete set into output byte-identical to an
+    /// unsharded run.
+    pub fn shard_json(&self) -> String {
+        let (shard, scale) = (self.shard, self.scale);
+        let units = (shard.index..).step_by(shard.count).zip(&self.units);
+        let doc = Json::obj([
+            ("schema", Json::str("piccolo-results-shard/v1")),
+            ("plan", Json::str(plan_hex(self.plan))),
+            (
+                "shard",
+                Json::obj([
+                    ("index", Json::Num(shard.index as f64)),
+                    ("count", Json::Num(shard.count as f64)),
+                ]),
+            ),
+            (
+                "scale",
+                Json::obj([
+                    ("scale_shift", Json::Num(scale.scale_shift as f64)),
+                    // The seed is a u64; like the codec's counters it rides as a
+                    // decimal string so it can never round past 2^53.
+                    ("seed", Json::str(scale.seed.to_string())),
+                    ("max_iterations", Json::Num(scale.max_iterations as f64)),
+                ]),
+            ),
+            (
+                "units",
+                Json::Arr(
+                    units
+                        .map(|(gid, result)| {
+                            let result = codec::unit_result_to_json(result);
+                            Json::obj([("unit", Json::Num(gid as f64)), ("result", result)])
+                        })
+                        .collect(),
+                ),
+            ),
+        ]);
+        doc.to_string() + "\n"
+    }
 }
 
 /// One shard of a campaign's unit grid: the slots whose global unit index satisfies
@@ -140,6 +221,9 @@ pub struct Shard {
 }
 
 impl Shard {
+    /// The whole grid as one shard.
+    pub const WHOLE: Shard = Shard { index: 0, count: 1 };
+
     /// Parses the `repro --shard` syntax `I/N` (e.g. `0/3`).
     pub fn parse(s: &str) -> Result<Self, String> {
         let err = || format!("shard must be I/N with 0 <= I < N, got '{s}'");
@@ -182,7 +266,7 @@ impl std::fmt::Display for Shard {
 /// Fingerprint of a campaign plan: the scale plus every spec's name, title, unit grid
 /// and output shape, folded through FNV-1a 64. Two invocations with equal plan hashes
 /// execute interchangeable unit grids — the property that lets shard files
-/// ([`merge_shards`]) and journal entries ([`SweepRunner::run_campaign_resumed`])
+/// ([`merge_shards`]) and journal entries ([`PlannedCampaign::run`])
 /// written by separate processes be validated before any slot is trusted.
 ///
 /// External graphs ([`piccolo_graph::external`]) have no `(dataset, shift, seed)`
@@ -399,6 +483,80 @@ fn evaluate_figures(specs: &[ExperimentSpec], unit_results: &[UnitResult]) -> Ve
         });
     }
     figures
+}
+
+/// The slot grid that results arriving as JSON fill before a derived row is evaluated:
+/// merged shard documents ([`merge_shards`]) and network-collected results
+/// ([`PlannedCampaign::evaluate`]). Each result is checked as it fills its slot
+/// ([`Grid::fill`]), coverage once at the end ([`covered`]), which a local run's
+/// executed plus replayed slots pass through too.
+struct Grid<'a> {
+    specs: &'a [ExperimentSpec],
+    unit_index: &'a [(usize, usize)],
+    slots: Vec<Option<UnitResult>>,
+}
+
+impl<'a> Grid<'a> {
+    fn new(specs: &'a [ExperimentSpec], unit_index: &'a [(usize, usize)]) -> Self {
+        Self {
+            specs,
+            unit_index,
+            slots: unit_index.iter().map(|_| None).collect(),
+        }
+    }
+
+    /// Validates one encoded result against global slot `gid` — range, duplicate, unit
+    /// kind, lossless decode — and fills the slot.
+    fn fill(&mut self, gid: usize, result: &Json) -> Result<(), String> {
+        let decoded = decode_slot(self.specs, self.unit_index, gid, result)?;
+        if self.slots[gid].is_some() {
+            return Err(format!("unit {gid} appears twice"));
+        }
+        self.slots[gid] = Some(decoded);
+        Ok(())
+    }
+
+    /// Every figure's rows from a fully-populated grid.
+    fn figures(self) -> Result<Vec<FigureRows>, String> {
+        Ok(evaluate_figures(
+            self.specs,
+            &covered(self.slots, Shard::WHOLE)?,
+        ))
+    }
+}
+
+/// The results of `shard`'s projection of `slots` in ascending global unit order, or
+/// the first of its slots left empty.
+fn covered(slots: Vec<Option<UnitResult>>, shard: Shard) -> Result<Vec<UnitResult>, String> {
+    slots
+        .into_iter()
+        .enumerate()
+        .filter(|&(gid, _)| shard.selects(gid))
+        .map(|(gid, slot)| slot.ok_or_else(|| format!("unit {gid} has no result")))
+        .collect()
+}
+
+/// Decodes one encoded result for global slot `gid` of the grid, checking range, unit
+/// kind and lossless decode — the per-result checks of [`Grid::fill`],
+/// [`PlannedCampaign::validate_result`] and the journal replay.
+fn decode_slot(
+    specs: &[ExperimentSpec],
+    unit_index: &[(usize, usize)],
+    gid: usize,
+    result: &Json,
+) -> Result<UnitResult, String> {
+    let Some(&(figure, u)) = unit_index.get(gid) else {
+        return Err(format!(
+            "unit {gid} out of range (grid has {} units)",
+            unit_index.len()
+        ));
+    };
+    if !codec::kind_matches(result, &specs[figure].units()[u]) {
+        return Err(format!(
+            "unit {gid} kind does not match the plan's grid (corrupt or foreign result)"
+        ));
+    }
+    codec::unit_result_from_json(result).map_err(|e| format!("unit {gid}: {e}"))
 }
 
 /// The journal hook [`execute_selected`] calls from worker threads as each unit
@@ -708,332 +866,20 @@ fn build_spec((dataset, shift, seed): GraphKey) -> String {
     format!("{} shift={shift} seed={seed}", dataset.short_name())
 }
 
-impl SweepRunner {
-    /// Executes `specs` as one campaign: a single global [`run_indexed`] pool over all
-    /// graph builds and grid units, building each distinct [`GraphKey`] exactly once
-    /// campaign-wide. Returns each figure's rows (derived points evaluated per figure)
-    /// plus scheduling stats. Output is byte-identical for every worker count.
-    pub fn run_campaign(&self, specs: &[ExperimentSpec]) -> CampaignRun {
-        run_campaign_with(self.jobs(), specs, default_build)
-    }
-
-    /// Executes one [`Shard`] of the campaign: exactly the grid units whose global
-    /// index satisfies `index % count`, building only the graphs those units need
-    /// (refcounts — and therefore eviction stats — scoped to the shard). The returned
-    /// [`ShardRun`] serializes to a `piccolo-results-shard/v1` document that
-    /// [`merge_shards`] recombines into output byte-identical to an unsharded run.
-    pub fn run_campaign_shard(
-        &self,
-        scale: Scale,
-        specs: &[ExperimentSpec],
-        shard: Shard,
-    ) -> ShardRun {
-        let unit_index = flatten_units(specs);
-        let selected: Vec<usize> = (0..unit_index.len())
-            .filter(|&g| shard.selects(g))
-            .collect();
-        let (mut slots, stats) = execute_selected(
-            self.jobs(),
-            specs,
-            &unit_index,
-            &selected,
-            &default_build,
-            None,
-        );
-        let units = selected
-            .iter()
-            .map(|&gid| (gid, slots[gid].take().expect("selected slot executed")))
-            .collect();
-        ShardRun {
-            shard,
-            stats,
-            plan: plan_hash(scale, specs),
-            scale,
-            units,
-        }
-    }
-
-    /// Executes one [`Shard`] of the campaign **with** a run journal: the composition
-    /// of [`SweepRunner::run_campaign_shard`] and [`SweepRunner::run_campaign_resumed`].
-    /// Journal entries carry global unit indices, so the shard projection simply skips
-    /// replayed slots: only the shard's units missing from the journal are executed
-    /// (and appended), and the returned [`ShardRun`] covers the shard's full
-    /// projection — replayed and executed slots alike — so it merges exactly like an
-    /// uninterrupted shard. This is also the lease model the networked coordinator
-    /// (`piccolo-serve`) runs on: any subset of the grid can be re-dispatched and the
-    /// journal makes re-execution idempotent.
-    pub fn run_campaign_shard_resumed(
-        &self,
-        scale: Scale,
-        specs: &[ExperimentSpec],
-        shard: Shard,
-        journal_path: &Path,
-    ) -> std::io::Result<ShardResumeRun> {
-        let plan = plan_hash(scale, specs);
-        let unit_index = flatten_units(specs);
-        let mut replay = journal::read_replay(journal_path, plan, specs, &unit_index)?;
-        let selected: Vec<usize> = (0..unit_index.len())
-            .filter(|&gid| shard.selects(gid) && !replay.entries.contains_key(&gid))
-            .collect();
-        let writer = journal::Writer::append_to(journal_path, plan)?;
-        let executed = selected.len();
-        let on_done = |gid: usize, result: &UnitResult| writer.record(gid, result);
-        let built_now: Mutex<Vec<String>> = Mutex::new(Vec::new());
-        let build = |key: GraphKey| {
-            let spec = build_spec(key);
-            writer.record_build(&spec);
-            built_now.lock().unwrap().push(spec);
-            default_build(key)
-        };
-        let (mut slots, stats) = execute_selected(
-            self.jobs(),
-            specs,
-            &unit_index,
-            &selected,
-            &build,
-            Some(&on_done),
-        );
-        let built_now = built_now.into_inner().unwrap();
-        let builds_skipped = replay
-            .builds
-            .iter()
-            .filter(|spec| !built_now.contains(spec))
-            .count();
-        let mut replayed = 0usize;
-        let units: Vec<(usize, UnitResult)> = (0..unit_index.len())
-            .filter(|&gid| shard.selects(gid))
-            .map(|gid| {
-                let result = match slots[gid].take() {
-                    Some(result) => result,
-                    None => {
-                        replayed += 1;
-                        replay
-                            .entries
-                            .remove(&gid)
-                            .expect("every unscheduled shard slot was replayed")
-                    }
-                };
-                (gid, result)
-            })
-            .collect();
-        Ok(ShardResumeRun {
-            run: ShardRun {
-                shard,
-                stats,
-                plan,
-                scale,
-                units,
-            },
-            replayed,
-            executed,
-            corrupt: replay.corrupt,
-            mismatched: replay.mismatched,
-            builds_skipped,
-        })
-    }
-
-    /// Executes the campaign with a run journal at `journal_path`: slots recovered
-    /// from the journal (matching plan hash, verified checksum) are **replayed**
-    /// without executing, only the remainder is scheduled, and every newly completed
-    /// unit is appended — so a killed invocation re-run with the same journal finishes
-    /// in the time of its missing units and produces byte-identical figures. A missing
-    /// journal file starts an empty one (a plain run that journals as it goes).
-    pub fn run_campaign_resumed(
-        &self,
-        scale: Scale,
-        specs: &[ExperimentSpec],
-        journal_path: &Path,
-    ) -> std::io::Result<ResumeRun> {
-        let plan = plan_hash(scale, specs);
-        let unit_index = flatten_units(specs);
-        let replay_span = obs::span("journal_replay", Vec::new());
-        let mut replay = journal::read_replay(journal_path, plan, specs, &unit_index)?;
-        replay_span.close(vec![
-            ("replayed", (replay.entries.len() as u64).into()),
-            ("corrupt", (replay.corrupt as u64).into()),
-            ("mismatched", (replay.mismatched as u64).into()),
-            ("builds", (replay.builds.len() as u64).into()),
-        ]);
-        obs::metrics::counter_add(
-            "campaign/journal_lines_replayed",
-            replay.entries.len() as u64,
-        );
-        let selected: Vec<usize> = (0..unit_index.len())
-            .filter(|gid| !replay.entries.contains_key(gid))
-            .collect();
-        let writer = journal::Writer::append_to(journal_path, plan)?;
-        let executed = selected.len();
-        let on_done = |gid: usize, result: &UnitResult| writer.record(gid, result);
-        // Journal builds as they happen and remember this invocation's keys, so the
-        // summary below can report how many journaled builds were *skipped* — graphs
-        // whose every unit replayed are never scheduled, hence never rebuilt.
-        let built_now: Mutex<Vec<String>> = Mutex::new(Vec::new());
-        let build = |key: GraphKey| {
-            let spec = build_spec(key);
-            writer.record_build(&spec);
-            built_now.lock().unwrap().push(spec);
-            default_build(key)
-        };
-        let (slots, stats) = execute_selected(
-            self.jobs(),
-            specs,
-            &unit_index,
-            &selected,
-            &build,
-            Some(&on_done),
-        );
-        let built_now = built_now.into_inner().unwrap();
-        let builds_skipped = replay
-            .builds
-            .iter()
-            .filter(|spec| !built_now.contains(spec))
-            .count();
-        let unit_results: Vec<UnitResult> = slots
-            .into_iter()
-            .enumerate()
-            .map(|(gid, slot)| match slot {
-                Some(result) => result,
-                None => replay
-                    .entries
-                    .remove(&gid)
-                    .expect("every unscheduled slot was replayed from the journal"),
-            })
-            .collect();
-        Ok(ResumeRun {
-            replayed: unit_results.len() - executed,
-            executed,
-            corrupt: replay.corrupt,
-            mismatched: replay.mismatched,
-            builds_skipped,
-            run: CampaignRun {
-                figures: evaluate_figures(specs, &unit_results),
-                stats,
-            },
-        })
-    }
+/// Executes every unit of `specs` — no plan, shard or journal — and evaluates their
+/// figures: the body of [`crate::sweep::SweepRunner::run`], over the same executor as
+/// [`PlannedCampaign::run`].
+pub(crate) fn run_whole(jobs: usize, specs: &[ExperimentSpec]) -> Vec<FigureRows> {
+    let unit_index = flatten_units(specs);
+    let all: Vec<usize> = (0..unit_index.len()).collect();
+    let (slots, _) = execute_selected(jobs, specs, &unit_index, &all, &default_build, None);
+    evaluate_figures(
+        specs,
+        &covered(slots, Shard::WHOLE).expect("every unit ran"),
+    )
 }
 
-/// Output of [`SweepRunner::run_campaign_resumed`]: the completed campaign plus what
-/// the journal contributed.
-#[derive(Debug)]
-pub struct ResumeRun {
-    /// The completed campaign (figures identical to an uninterrupted run; stats cover
-    /// the units this invocation executed).
-    pub run: CampaignRun,
-    /// Slots pre-filled from the journal.
-    pub replayed: usize,
-    /// Units executed (and appended to the journal) by this invocation.
-    pub executed: usize,
-    /// Journal lines dropped by the checksum check — each costs one re-run, nothing
-    /// else.
-    pub corrupt: usize,
-    /// Well-formed entries ignored because they belong to a different plan (figure
-    /// set, scale, or spec revision) or name an impossible slot.
-    pub mismatched: usize,
-    /// Journaled graph builds this invocation did **not** repeat: every unit of those
-    /// graphs replayed, so the graphs were never scheduled — the build-skip that makes
-    /// a fully-replayed resume O(journal), not O(graph).
-    pub builds_skipped: usize,
-}
-
-/// Output of [`SweepRunner::run_campaign_shard_resumed`]: the executed shard plus what
-/// the journal contributed to its projection.
-#[derive(Debug)]
-pub struct ShardResumeRun {
-    /// The shard's full projection (replayed and executed slots alike); serializes
-    /// and merges exactly like an uninterrupted shard run.
-    pub run: ShardRun,
-    /// Slots of this shard's projection pre-filled from the journal. Journal entries
-    /// outside the projection are left untouched (other shards replay them).
-    pub replayed: usize,
-    /// Units executed (and appended to the journal) by this invocation.
-    pub executed: usize,
-    /// Journal lines dropped by the checksum check.
-    pub corrupt: usize,
-    /// Well-formed entries ignored because they belong to a different plan.
-    pub mismatched: usize,
-    /// Journaled graph builds this invocation did not repeat.
-    pub builds_skipped: usize,
-}
-
-/// One executed shard: the raw results of its grid slots, tagged with the plan hash
-/// that [`merge_shards`] validates before recombining.
-#[derive(Debug)]
-pub struct ShardRun {
-    /// Which projection of the grid this shard executed.
-    pub shard: Shard,
-    /// Scheduling stats of this shard alone (its own builds and evictions).
-    pub stats: CampaignStats,
-    plan: u64,
-    scale: Scale,
-    units: Vec<(usize, UnitResult)>,
-}
-
-impl ShardRun {
-    /// Number of grid units this shard executed.
-    pub fn num_units(&self) -> usize {
-        self.units.len()
-    }
-
-    /// Serializes this shard as a `piccolo-results-shard/v1` document: plan hash,
-    /// shard coordinates, scale, and one `{unit, result}` entry per executed slot in
-    /// ascending global unit order (deterministic bytes, like everything else in the
-    /// results pipeline).
-    pub fn to_json(&self) -> String {
-        shard_doc(
-            self.plan,
-            self.shard,
-            self.scale,
-            self.units
-                .iter()
-                .map(|(gid, result)| (*gid, codec::unit_result_to_json(result)))
-                .collect(),
-        )
-    }
-}
-
-/// Serializes one `piccolo-results-shard/v1` document. Shared by [`ShardRun::to_json`]
-/// and [`PlannedCampaign::evaluate`], so locally-executed and network-collected grids
-/// flow through byte-identical documents into [`merge_shards`].
-fn shard_doc(plan: u64, shard: Shard, scale: Scale, units: Vec<(usize, Json)>) -> String {
-    let doc = Json::obj([
-        ("schema", Json::str("piccolo-results-shard/v1")),
-        ("plan", Json::str(plan_hex(plan))),
-        (
-            "shard",
-            Json::obj([
-                ("index", Json::Num(shard.index as f64)),
-                ("count", Json::Num(shard.count as f64)),
-            ]),
-        ),
-        (
-            "scale",
-            Json::obj([
-                ("scale_shift", Json::Num(scale.scale_shift as f64)),
-                // The seed is a u64; like the codec's counters it rides as a
-                // decimal string so it can never round past 2^53.
-                ("seed", Json::str(scale.seed.to_string())),
-                ("max_iterations", Json::Num(scale.max_iterations as f64)),
-            ]),
-        ),
-        (
-            "units",
-            Json::Arr(
-                units
-                    .into_iter()
-                    .map(|(gid, result)| {
-                        Json::obj([("unit", Json::Num(gid as f64)), ("result", result)])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
-    let mut out = doc.to_string();
-    out.push('\n');
-    out
-}
-
-/// Recombines a complete set of shard documents ([`ShardRun::to_json`]) into the
+/// Recombines a complete set of shard documents ([`CampaignRun::shard_json`]) into the
 /// campaign's figures. Validates everything before trusting a single slot: schema and
 /// plan hash (against *this* process's `scale` + `specs`), consistent shard count, a
 /// complete set of distinct shard indices, every unit in its shard's projection with a
@@ -1052,7 +898,7 @@ pub fn merge_shards(
     let merge_span = obs::span("shard_merge", vec![("docs", (docs.len() as u64).into())]);
     let expected_plan = plan_hex(plan_hash(scale, specs));
     let unit_index = flatten_units(specs);
-    let mut slots: Vec<Option<UnitResult>> = unit_index.iter().map(|_| None).collect();
+    let mut grid = Grid::new(specs, &unit_index);
     let mut count: Option<usize> = None;
     let mut seen_shards: Vec<usize> = Vec::new();
 
@@ -1117,31 +963,13 @@ pub fn merge_shards(
                 .filter(|n| n.fract() == 0.0 && *n >= 0.0)
                 .map(|n| n as usize)
                 .ok_or_else(|| err("unit entry without a valid index".to_string()))?;
-            if gid >= unit_index.len() {
-                return Err(err(format!(
-                    "unit {gid} out of range (grid has {} units)",
-                    unit_index.len()
-                )));
-            }
             if !shard.selects(gid) {
                 return Err(err(format!("unit {gid} does not belong to shard {shard}")));
-            }
-            if slots[gid].is_some() {
-                return Err(err(format!("unit {gid} appears twice")));
             }
             let result = entry
                 .get("result")
                 .ok_or_else(|| err(format!("unit {gid} has no result")))?;
-            let (figure, u) = unit_index[gid];
-            if !codec::kind_matches(result, &specs[figure].units()[u]) {
-                return Err(err(format!(
-                    "unit {gid} kind does not match the plan's grid (corrupt or foreign file)"
-                )));
-            }
-            slots[gid] = Some(
-                codec::unit_result_from_json(result)
-                    .map_err(|e| err(format!("unit {gid}: {e}")))?,
-            );
+            grid.fill(gid, result).map_err(err)?;
         }
     }
 
@@ -1152,21 +980,15 @@ pub fn merge_shards(
             docs.len()
         ));
     }
-    let unit_results: Vec<UnitResult> = slots
-        .into_iter()
-        .enumerate()
-        .map(|(gid, slot)| {
-            slot.ok_or_else(|| format!("unit {gid} missing from every shard document"))
-        })
-        .collect::<Result<_, _>>()?;
-    merge_span.close(vec![("units", (unit_results.len() as u64).into())]);
-    Ok(evaluate_figures(specs, &unit_results))
+    let figures = grid.figures()?;
+    merge_span.close(vec![("units", (unit_index.len() as u64).into())]);
+    Ok(figures)
 }
 
 /// A campaign plan with a stable identity: scale + spec list + the flattened unit
-/// grid, pinned by [`plan_hash`]. This is the **lease projection** API the networked
-/// coordinator (`piccolo-serve`) runs on — and the substrate shared by shards, resume
-/// journals, and local runs:
+/// grid, pinned by [`plan_hash`]. [`PlannedCampaign::run`] executes it locally — a
+/// whole grid or one [`Shard`], with or without a journal — and the same plan is the
+/// **lease projection** API the networked coordinator (`piccolo-serve`) runs on:
 ///
 /// * Any subset of global unit indices can be executed
 ///   ([`PlannedCampaign::execute_units`]), with each completed unit streamed out as
@@ -1175,10 +997,9 @@ pub fn merge_shards(
 ///   journal line) are validated against the grid
 ///   ([`PlannedCampaign::validate_result`]) and normalized to canonical bytes before
 ///   a slot is trusted.
-/// * A fully-populated grid is merged through the same `plan_hash`-validated
-///   [`merge_shards`] path as `repro --merge` ([`PlannedCampaign::evaluate`]), so
-///   `results.json` built from network-collected results is byte-identical to a local
-///   `--jobs 1` run.
+/// * A fully-populated grid is evaluated through the same slot checks as
+///   `repro --merge` ([`PlannedCampaign::evaluate`]), so `results.json` built from
+///   network-collected results is byte-identical to a local `--jobs 1` run.
 /// * The server-side journal ([`PlannedCampaign::open_journal`] /
 ///   [`PlannedCampaign::replay_journal`]) uses the exact run-journal line format, so
 ///   a coordinator's streamed journal is replayable by `repro --resume` and vice
@@ -1233,6 +1054,128 @@ impl PlannedCampaign {
     #[must_use]
     pub fn num_units(&self) -> usize {
         self.unit_index.len()
+    }
+
+    /// Runs one [`Shard`] of the campaign — [`Shard::WHOLE`] for all of it — over a
+    /// pool of `jobs` workers, building exactly the distinct graphs the executed units
+    /// need. The only local way to execute a campaign.
+    ///
+    /// With a `journal`, slots recovered from it (matching plan hash, verified
+    /// checksum) are **replayed** without executing, only the shard's remaining units
+    /// are scheduled, and every newly completed unit and graph build is appended — so
+    /// a killed invocation re-run with the same journal finishes in the time of its
+    /// missing units with byte-identical output, and several shards can share one
+    /// journal. A missing journal file starts an empty one.
+    ///
+    /// # Errors
+    ///
+    /// Propagates journal read and open errors; without a journal it cannot fail.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a malformed `shard`, and re-raises a panicking unit or graph build.
+    pub fn run(
+        &self,
+        jobs: usize,
+        shard: Shard,
+        journal: Option<&Path>,
+    ) -> std::io::Result<CampaignRun> {
+        self.run_with(jobs, shard, journal, &default_build)
+    }
+
+    /// [`PlannedCampaign::run`] over an explicit graph-build function, so tests can
+    /// count builds per key or inject failing builds without touching the scheduler.
+    pub(crate) fn run_with(
+        &self,
+        jobs: usize,
+        shard: Shard,
+        journal_path: Option<&Path>,
+        build: &(impl Fn(GraphKey) -> Arc<Csr> + Sync),
+    ) -> std::io::Result<CampaignRun> {
+        let replay = match journal_path {
+            Some(path) => {
+                let replay_span = obs::span("journal_replay", Vec::new());
+                let mut replay =
+                    journal::read_replay(path, self.plan, &self.specs, &self.unit_index)?;
+                // Other shards' entries stay in the file for them to replay.
+                replay.entries.retain(|&gid, _| shard.selects(gid));
+                replay_span.close(vec![
+                    ("replayed", (replay.entries.len() as u64).into()),
+                    ("corrupt", (replay.corrupt as u64).into()),
+                    ("mismatched", (replay.mismatched as u64).into()),
+                    ("builds", (replay.builds.len() as u64).into()),
+                ]);
+                obs::metrics::counter_add(
+                    "campaign/journal_lines_replayed",
+                    replay.entries.len() as u64,
+                );
+                replay
+            }
+            None => journal::Replay::default(),
+        };
+        let selected: Vec<usize> = (0..self.unit_index.len())
+            .filter(|&gid| shard.selects(gid) && !replay.entries.contains_key(&gid))
+            .collect();
+        let writer = journal_path
+            .map(|path| journal::Writer::append_to(path, self.plan))
+            .transpose()?;
+        let record_unit = writer
+            .as_ref()
+            .map(|w| move |gid: usize, result: &UnitResult| w.record(gid, result));
+        // Journal builds as they happen and remember this invocation's keys, so the
+        // run can report how many journaled builds were *skipped* — graphs whose every
+        // unit replayed are never scheduled, hence never rebuilt.
+        let built_now: Mutex<Vec<String>> = Mutex::new(Vec::new());
+        let journaled_build = |key: GraphKey| {
+            if let Some(writer) = &writer {
+                let spec = build_spec(key);
+                writer.record_build(&spec);
+                built_now
+                    .lock()
+                    .expect("no build panics while holding the lock")
+                    .push(spec);
+            }
+            build(key)
+        };
+        let (mut slots, stats) = execute_selected(
+            jobs,
+            &self.specs,
+            &self.unit_index,
+            &selected,
+            &journaled_build,
+            record_unit.as_ref().map(|f| f as OnUnitDone<'_>),
+        );
+        let built_now = built_now
+            .into_inner()
+            .expect("a panicking build re-raises before this point");
+        let builds_skipped = replay
+            .builds
+            .iter()
+            .filter(|spec| !built_now.contains(spec))
+            .count();
+        let replayed = replay.entries.len();
+        for (gid, result) in replay.entries {
+            slots[gid] = Some(result);
+        }
+        let units = covered(slots, shard).expect("every slot of the shard ran or replayed");
+        let figures = if shard == Shard::WHOLE {
+            evaluate_figures(&self.specs, &units)
+        } else {
+            Vec::new()
+        };
+        Ok(CampaignRun {
+            shard,
+            figures,
+            stats,
+            replayed,
+            executed: selected.len(),
+            corrupt: replay.corrupt,
+            mismatched: replay.mismatched,
+            builds_skipped,
+            plan: self.plan,
+            scale: self.scale,
+            units,
+        })
     }
 
     /// Executes the given global unit indices (any order) over one worker pool,
@@ -1290,40 +1233,27 @@ impl PlannedCampaign {
     ///
     /// Describes what failed validation; the caller must discard the result.
     pub fn validate_result(&self, unit: usize, result_json: &str) -> Result<String, String> {
-        if unit >= self.unit_index.len() {
-            return Err(format!(
-                "unit {unit} out of range (grid has {} units)",
-                self.unit_index.len()
-            ));
-        }
         let v = parse(result_json.trim()).map_err(|e| format!("unit {unit}: unparseable: {e}"))?;
-        let (figure, u) = self.unit_index[unit];
-        if !codec::kind_matches(&v, &self.specs[figure].units()[u]) {
-            return Err(format!("unit {unit} kind does not match the plan's grid"));
-        }
-        let result = codec::unit_result_from_json(&v).map_err(|e| format!("unit {unit}: {e}"))?;
+        let result = decode_slot(&self.specs, &self.unit_index, unit, &v)?;
         Ok(codec::unit_result_to_json(&result).to_string())
     }
 
-    /// Merges a fully-populated grid of canonical results (global index + codec JSON,
-    /// any order) into the campaign's figures, via the same `plan_hash`-validated
-    /// [`merge_shards`] path as `repro --merge` — one synthetic 0/1 shard document,
-    /// so every validation merge performs applies here too.
+    /// Evaluates a fully-populated grid of results (global index + codec JSON, any
+    /// order) into the campaign's figures, checking every result exactly as
+    /// [`merge_shards`] checks a shard document's.
     ///
     /// # Errors
     ///
-    /// Anything [`merge_shards`] rejects: missing or duplicate slots, kind mismatches,
-    /// undecodable results.
+    /// A result that does not parse, an out-of-range or duplicated index, a unit-kind
+    /// mismatch, a result that does not decode losslessly, or a missing slot.
     pub fn evaluate(&self, results: &[(usize, String)]) -> Result<Vec<FigureRows>, String> {
-        let mut units = Vec::with_capacity(results.len());
+        let mut grid = Grid::new(&self.specs, &self.unit_index);
         for (gid, result_json) in results {
             let v = parse(result_json.trim())
                 .map_err(|e| format!("unit {gid}: unparseable result: {e}"))?;
-            units.push((*gid, v));
+            grid.fill(*gid, &v)?;
         }
-        units.sort_by_key(|(gid, _)| *gid);
-        let doc = shard_doc(self.plan, Shard { index: 0, count: 1 }, self.scale, units);
-        merge_shards(self.scale, &self.specs, &[doc])
+        grid.figures()
     }
 
     /// Opens (or creates) the plan's journal at `path` for appending — the exact
@@ -1390,26 +1320,6 @@ pub struct JournalReplay {
     pub mismatched: usize,
 }
 
-/// Campaign executor parameterized over the graph-build function, so tests can count
-/// builds per key or inject failing builds without touching the scheduler itself.
-pub(crate) fn run_campaign_with(
-    jobs: usize,
-    specs: &[ExperimentSpec],
-    build: impl Fn(GraphKey) -> Arc<Csr> + Sync,
-) -> CampaignRun {
-    let unit_index = flatten_units(specs);
-    let selected: Vec<usize> = (0..unit_index.len()).collect();
-    let (slots, stats) = execute_selected(jobs, specs, &unit_index, &selected, &build, None);
-    let unit_results: Vec<UnitResult> = slots
-        .into_iter()
-        .map(|slot| slot.expect("every unit was scheduled"))
-        .collect();
-    CampaignRun {
-        figures: evaluate_figures(specs, &unit_results),
-        stats,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1437,17 +1347,26 @@ mod tests {
         ]
     }
 
+    fn planned(specs: Vec<ExperimentSpec>) -> PlannedCampaign {
+        PlannedCampaign::new(tiny(), specs)
+    }
+
+    /// Runs `campaign`'s whole grid on `jobs` workers, without a journal.
+    fn whole(campaign: &PlannedCampaign, jobs: usize) -> CampaignRun {
+        campaign.run(jobs, Shard::WHOLE, None).unwrap()
+    }
+
     #[test]
     fn campaign_results_json_is_byte_identical_across_worker_counts() {
-        let specs = shared_graph_specs();
-        let reference = SweepRunner::sequential().run_campaign(&specs);
+        let campaign = planned(shared_graph_specs());
+        let reference = whole(&campaign, 1);
         assert!(
             reference.stats.scatter_mem_clocks > 0,
             "executed sim runs must report scatter-phase clocks"
         );
         let doc = results_json(tiny(), &reference.figures);
         for jobs in [2, 8] {
-            let parallel = SweepRunner::new(jobs).run_campaign(&specs);
+            let parallel = whole(&campaign, jobs);
             assert_eq!(
                 results_json(tiny(), &parallel.figures),
                 doc,
@@ -1465,17 +1384,20 @@ mod tests {
         // Eviction is always active, so this doubles as the eviction-never-rebuilds
         // pin: if the refcounted store dropped a graph too early, a remaining unit
         // would panic; if it somehow triggered a rebuild, the count would exceed 1.
-        let specs = shared_graph_specs();
+        let campaign = planned(shared_graph_specs());
         for jobs in [1, 4] {
             let counts: Mutex<BTreeMap<GraphKey, usize>> = Mutex::new(BTreeMap::new());
-            let run = run_campaign_with(jobs, &specs, |(dataset, shift, seed)| {
+            let count_build = |(dataset, shift, seed): GraphKey| {
                 *counts
                     .lock()
                     .unwrap()
                     .entry((dataset, shift, seed))
                     .or_insert(0) += 1;
                 Arc::new(dataset.build(shift, seed))
-            });
+            };
+            let run = campaign
+                .run_with(jobs, Shard::WHOLE, None, &count_build)
+                .unwrap();
             let counts = counts.into_inner().unwrap();
             // All three figures use the same (Sinaweibo, 15, 3) graph.
             assert_eq!(
@@ -1489,8 +1411,8 @@ mod tests {
             );
             assert_eq!(run.stats.graphs_built, 1);
             // Per-figure scheduling would have built the graph once per figure.
-            assert_eq!(run.stats.builds_saved, specs.len() - 1);
-            assert_eq!(run.stats.figures, specs.len());
+            assert_eq!(run.stats.builds_saved, campaign.specs().len() - 1);
+            assert_eq!(run.stats.figures, campaign.specs().len());
             assert!(run.stats.sim_runs > run.stats.graphs_built);
             // The last consumer evicted the graph — nothing stays pinned.
             assert_eq!(run.stats.graphs_evicted, run.stats.graphs_built);
@@ -1503,16 +1425,23 @@ mod tests {
         // that every slot reached Evicted (the graph was dropped when its last
         // consumer finished, not when the campaign ended), and the weak handles prove
         // no clone leaked past the campaign.
-        let specs = shared_graph_specs();
+        let campaign = planned(shared_graph_specs());
         let weaks: Mutex<Vec<std::sync::Weak<Csr>>> = Mutex::new(Vec::new());
-        let run = run_campaign_with(2, &specs, |(dataset, shift, seed)| {
-            let graph = Arc::new(dataset.build(shift, seed));
-            weaks.lock().unwrap().push(Arc::downgrade(&graph));
-            graph
-        });
+        let run = campaign
+            .run_with(
+                2,
+                Shard::WHOLE,
+                None,
+                &|(dataset, shift, seed): GraphKey| {
+                    let graph = Arc::new(dataset.build(shift, seed));
+                    weaks.lock().unwrap().push(Arc::downgrade(&graph));
+                    graph
+                },
+            )
+            .unwrap();
         assert_eq!(run.stats.graphs_evicted, run.stats.graphs_built);
-        // The store is gone (run_campaign_with returned) and every unit released its
-        // handle, so no graph can be alive anywhere.
+        // The store is gone (the run returned) and every unit released its handle, so
+        // no graph can be alive anywhere.
         for weak in weaks.into_inner().unwrap() {
             assert!(
                 weak.upgrade().is_none(),
@@ -1526,10 +1455,11 @@ mod tests {
         // A figure's rows must be identical whether it runs alone or shares a campaign
         // (and its graphs) with other figures — otherwise `repro fig10` and
         // `repro all` would disagree.
-        let specs = shared_graph_specs();
-        let alone = SweepRunner::sequential().run_campaign(&specs[..1]);
+        let mut first = shared_graph_specs();
+        first.truncate(1);
+        let alone = whole(&planned(first), 1);
         assert_eq!(alone.stats.builds_saved, 0);
-        let together = SweepRunner::new(4).run_campaign(&specs);
+        let together = whole(&planned(shared_graph_specs()), 4);
         assert_eq!(alone.figures[0].points, together.figures[0].points);
         // And the rows satisfy a figure-level invariant computed by independent code:
         // fig10's baseline-over-baseline geomean row is exactly 1.
@@ -1543,10 +1473,10 @@ mod tests {
 
     #[test]
     fn graph_build_panic_propagates_with_its_original_payload() {
-        let specs = shared_graph_specs();
+        let campaign = planned(shared_graph_specs());
         for jobs in [1, 4] {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_campaign_with(jobs, &specs, |key: GraphKey| -> Arc<Csr> {
+                campaign.run_with(jobs, Shard::WHOLE, None, &|key: GraphKey| -> Arc<Csr> {
                     panic!("graph build exploded for {key:?}")
                 })
             }));
@@ -1565,8 +1495,9 @@ mod tests {
 
     #[test]
     fn empty_campaign_is_empty() {
-        let run = SweepRunner::new(4).run_campaign(&[]);
+        let run = whole(&planned(Vec::new()), 4);
         assert!(run.figures.is_empty());
+        assert_eq!(run.num_units(), 0);
         assert_eq!(run.stats.graphs_built, 0);
         assert_eq!(run.stats.builds_saved, 0);
         assert_eq!(run.stats.graphs_evicted, 0);
@@ -1582,11 +1513,11 @@ mod tests {
         let g = generate::kronecker(10, 4, 23);
         let ds = external::register("campaign-test-ext", g);
         let algs = [Algorithm::Bfs];
-        let specs = vec![
+        let campaign = planned(vec![
             experiments::fig10_spec(tiny(), &[ds], &algs),
             experiments::fig12_spec(tiny(), &[ds], &algs),
-        ];
-        let reference = SweepRunner::sequential().run_campaign(&specs);
+        ]);
+        let reference = whole(&campaign, 1);
         assert_eq!(reference.stats.graphs_built, 1);
         assert_eq!(reference.stats.builds_saved, 1);
         assert_eq!(reference.stats.graphs_evicted, 1);
@@ -1596,7 +1527,7 @@ mod tests {
             .iter()
             .filter(|p| !p.label.starts_with("GM/"))
             .all(|p| p.label.contains("campaign-test-ext")));
-        let parallel = SweepRunner::new(4).run_campaign(&specs);
+        let parallel = whole(&campaign, 4);
         assert_eq!(
             results_json(tiny(), &parallel.figures),
             results_json(tiny(), &reference.figures)
@@ -1629,9 +1560,13 @@ mod tests {
         let piccolo_graph::Dataset::External { id } = ds else {
             panic!("register_lazy returns an External dataset");
         };
-        let specs = vec![experiments::fig12_spec(tiny(), &[ds], &[Algorithm::Bfs])];
+        let campaign = planned(vec![experiments::fig12_spec(
+            tiny(),
+            &[ds],
+            &[Algorithm::Bfs],
+        )]);
 
-        let run = SweepRunner::new(2).run_campaign(&specs);
+        let run = whole(&campaign, 2);
         assert_eq!(run.stats.graphs_built, 1);
         assert_eq!(run.stats.graphs_evicted, 1);
         assert_eq!(loads.load(AtOrd::SeqCst), 1);
@@ -1643,7 +1578,7 @@ mod tests {
 
         // A later campaign in the same process transparently reloads and produces
         // identical bytes.
-        let again = SweepRunner::sequential().run_campaign(&specs);
+        let again = whole(&campaign, 1);
         assert_eq!(loads.load(AtOrd::SeqCst), 2, "reload on demand");
         assert_eq!(
             results_json(tiny(), &again.figures),
@@ -1656,6 +1591,7 @@ mod tests {
     fn shard_parse_accepts_valid_and_rejects_invalid() {
         assert_eq!(Shard::parse("0/3"), Ok(Shard { index: 0, count: 3 }));
         assert_eq!(Shard::parse("2/3"), Ok(Shard { index: 2, count: 3 }));
+        assert_eq!(Shard::parse("0/1"), Ok(Shard::WHOLE));
         assert_eq!(Shard { index: 1, count: 4 }.to_string(), "1/4");
         for bad in ["3/3", "4/3", "-1/3", "a/3", "1/", "/3", "1", "1/0"] {
             assert!(Shard::parse(bad).is_err(), "'{bad}' must be rejected");
@@ -1697,51 +1633,26 @@ mod tests {
     }
 
     #[test]
-    fn merged_shards_are_byte_identical_to_the_unsharded_run() {
-        let specs = shared_graph_specs();
-        let reference = SweepRunner::new(4).run_campaign(&specs);
-        let doc = results_json(tiny(), &reference.figures);
-        let shard_count = 3;
-        let mut shard_docs = Vec::new();
-        let mut sim_runs = 0;
-        for index in 0..shard_count {
-            let shard = Shard {
-                index,
-                count: shard_count,
-            };
-            let run = SweepRunner::new(2).run_campaign_shard(tiny(), &specs, shard);
-            // Each shard built only what it needed and evicted all of it.
-            assert_eq!(run.stats.graphs_evicted, run.stats.graphs_built);
-            sim_runs += run.stats.sim_runs;
-            shard_docs.push(run.to_json());
-        }
-        assert_eq!(
-            sim_runs, reference.stats.sim_runs,
-            "shards partition the grid"
-        );
-        let merged = merge_shards(tiny(), &specs, &shard_docs).expect("merge succeeds");
-        assert_eq!(results_json(tiny(), &merged), doc);
-    }
-
-    #[test]
     fn merge_rejects_foreign_incomplete_and_duplicate_shards() {
-        let specs = shared_graph_specs();
+        let campaign = planned(shared_graph_specs());
+        let specs = campaign.specs();
         let shard_docs: Vec<String> = (0..2)
             .map(|index| {
-                SweepRunner::sequential()
-                    .run_campaign_shard(tiny(), &specs, Shard { index, count: 2 })
-                    .to_json()
+                campaign
+                    .run(1, Shard { index, count: 2 }, None)
+                    .unwrap()
+                    .shard_json()
             })
             .collect();
         // The happy path works...
-        assert!(merge_shards(tiny(), &specs, &shard_docs).is_ok());
+        assert!(merge_shards(tiny(), specs, &shard_docs).is_ok());
         // ...but a missing shard, a duplicated shard, a foreign plan, and garbage all
         // fail with a descriptive error instead of producing wrong output.
-        let missing = merge_shards(tiny(), &specs, &shard_docs[..1]);
+        let missing = merge_shards(tiny(), specs, &shard_docs[..1]);
         assert!(missing.unwrap_err().contains("incomplete shard set"));
         let dup = merge_shards(
             tiny(),
-            &specs,
+            specs,
             &[shard_docs[0].clone(), shard_docs[0].clone()],
         );
         assert!(dup.unwrap_err().contains("duplicate shard"));
@@ -1749,33 +1660,16 @@ mod tests {
             scale_shift: 14,
             ..tiny()
         };
-        let foreign = merge_shards(foreign_scale, &specs, &shard_docs);
+        let foreign = merge_shards(foreign_scale, specs, &shard_docs);
         assert!(foreign.unwrap_err().contains("plan hash"));
-        let garbage = merge_shards(tiny(), &specs, &["not json".to_string()]);
+        let garbage = merge_shards(tiny(), specs, &["not json".to_string()]);
         assert!(garbage.is_err());
         let wrong_schema = merge_shards(
             tiny(),
-            &specs,
+            specs,
             &[r#"{"schema":"piccolo-results/v1"}"#.to_string()],
         );
         assert!(wrong_schema.unwrap_err().contains("schema"));
-    }
-
-    #[test]
-    fn a_single_shard_of_one_is_the_whole_campaign() {
-        let specs = shared_graph_specs();
-        let reference = SweepRunner::sequential().run_campaign(&specs);
-        let shard = SweepRunner::sequential().run_campaign_shard(
-            tiny(),
-            &specs,
-            Shard { index: 0, count: 1 },
-        );
-        assert_eq!(shard.stats, reference.stats);
-        let merged = merge_shards(tiny(), &specs, &[shard.to_json()]).unwrap();
-        assert_eq!(
-            results_json(tiny(), &merged),
-            results_json(tiny(), &reference.figures)
-        );
     }
 
     #[test]
@@ -1785,25 +1679,20 @@ mod tests {
         let journal = dir.join("resume-unit-test.jsonl");
         let _ = std::fs::remove_file(&journal);
 
-        let specs = shared_graph_specs();
-        let runner = SweepRunner::new(2);
-        let first = runner
-            .run_campaign_resumed(tiny(), &specs, &journal)
-            .unwrap();
+        let campaign = planned(shared_graph_specs());
+        let first = campaign.run(2, Shard::WHOLE, Some(&journal)).unwrap();
         assert_eq!(first.replayed, 0);
         assert!(first.executed > 0);
-        let doc = results_json(tiny(), &first.run.figures);
+        let doc = results_json(tiny(), &first.figures);
 
         // A second invocation replays everything, executes nothing, and skips every
         // journaled build (the ROADMAP "builds are not journaled" residual, pinned).
-        let second = runner
-            .run_campaign_resumed(tiny(), &specs, &journal)
-            .unwrap();
+        let second = campaign.run(2, Shard::WHOLE, Some(&journal)).unwrap();
         assert_eq!(second.executed, 0);
         assert_eq!(second.replayed, first.executed);
-        assert_eq!(second.run.stats.graphs_built, 0);
-        assert_eq!(second.builds_skipped, first.run.stats.graphs_built);
-        assert_eq!(results_json(tiny(), &second.run.figures), doc);
+        assert_eq!(second.stats.graphs_built, 0);
+        assert_eq!(second.builds_skipped, first.stats.graphs_built);
+        assert_eq!(results_json(tiny(), &second.figures), doc);
 
         // A different plan ignores every entry — unit and build lines alike
         // (mismatched, not replayed).
@@ -1814,13 +1703,13 @@ mod tests {
         let other_journal = dir.join("resume-unit-test-other.jsonl");
         let _ = std::fs::remove_file(&other_journal);
         std::fs::copy(&journal, &other_journal).unwrap();
-        let foreign = runner
-            .run_campaign_resumed(other_scale, &specs, &other_journal)
+        let foreign = PlannedCampaign::new(other_scale, shared_graph_specs())
+            .run(2, Shard::WHOLE, Some(&other_journal))
             .unwrap();
         assert_eq!(foreign.replayed, 0);
         assert_eq!(
             foreign.mismatched,
-            first.executed + first.run.stats.graphs_built
+            first.executed + first.stats.graphs_built
         );
         assert_eq!(foreign.executed, first.executed);
         assert_eq!(foreign.builds_skipped, 0);
@@ -1843,20 +1732,20 @@ mod tests {
 
         let a = Dataset::UciUni;
         let b = Dataset::Sinaweibo;
-        let specs = vec![experiments::fig12_spec(tiny(), &[a, b], &[Algorithm::Bfs])];
-        let runner = SweepRunner::new(2);
-        let first = runner
-            .run_campaign_resumed(tiny(), &specs, &journal)
-            .unwrap();
-        assert_eq!(first.run.stats.graphs_built, 2);
-        let doc = results_json(tiny(), &first.run.figures);
+        let campaign = planned(vec![experiments::fig12_spec(
+            tiny(),
+            &[a, b],
+            &[Algorithm::Bfs],
+        )]);
+        let first = campaign.run(2, Shard::WHOLE, Some(&journal)).unwrap();
+        assert_eq!(first.stats.graphs_built, 2);
+        let doc = results_json(tiny(), &first.figures);
 
         // Identify graph B's units from the grid and strip their journal lines.
-        let unit_index = flatten_units(&specs);
-        let b_units: Vec<usize> = (0..unit_index.len())
+        let b_units: Vec<usize> = (0..campaign.num_units())
             .filter(|&gid| {
-                let (figure, u) = unit_index[gid];
-                matches!(&specs[figure].units()[u], Unit::Sim(rc) if rc.dataset == b)
+                let (figure, u) = campaign.unit_index[gid];
+                matches!(&campaign.specs()[figure].units()[u], Unit::Sim(rc) if rc.dataset == b)
             })
             .collect();
         assert!(!b_units.is_empty());
@@ -1872,19 +1761,17 @@ mod tests {
             .collect();
         std::fs::write(&journal, kept.join("\n") + "\n").unwrap();
 
-        let resumed = runner
-            .run_campaign_resumed(tiny(), &specs, &journal)
-            .unwrap();
+        let resumed = campaign.run(2, Shard::WHOLE, Some(&journal)).unwrap();
         assert_eq!(resumed.executed, b_units.len());
         assert_eq!(
-            resumed.run.stats.graphs_built, 1,
+            resumed.stats.graphs_built, 1,
             "only the graph with missing units is rebuilt"
         );
         assert_eq!(
             resumed.builds_skipped, 1,
             "the fully-replayed graph's journaled build is skipped"
         );
-        assert_eq!(results_json(tiny(), &resumed.run.figures), doc);
+        assert_eq!(results_json(tiny(), &resumed.figures), doc);
 
         let _ = std::fs::remove_file(&journal);
     }
@@ -1895,11 +1782,9 @@ mod tests {
         // unordered unit indices, validate each streamed result, and evaluate
         // the collected grid — the merged document must be byte-identical to a
         // plain sequential run of the same plan.
-        let specs = shared_graph_specs();
-        let reference = SweepRunner::sequential().run_campaign(&specs);
-        let doc = results_json(tiny(), &reference.figures);
+        let campaign = planned(shared_graph_specs());
+        let doc = results_json(tiny(), &whole(&campaign, 1).figures);
 
-        let campaign = PlannedCampaign::new(tiny(), shared_graph_specs());
         assert!(campaign.num_units() > 2);
         let collected: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
         let hook = |unit: usize, result_json: &str| {
@@ -1932,6 +1817,49 @@ mod tests {
         assert!(campaign
             .validate_result(0, "{\"not\":\"a result\"}")
             .is_err());
+    }
+
+    #[test]
+    fn planned_campaign_evaluate_rejects_incomplete_and_malformed_grids() {
+        // A sim figure plus a measure-only figure, so both unit kinds are in the grid:
+        // unit 0 is a simulation, the last unit a measurement.
+        let campaign = planned(vec![
+            experiments::fig12_spec(tiny(), &[Dataset::Sinaweibo], &[Algorithm::Bfs]),
+            experiments::table2_spec(tiny()),
+        ]);
+        let collected: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
+        let units: Vec<usize> = (0..campaign.num_units()).collect();
+        campaign
+            .execute_units(2, &units, &|unit, result_json| {
+                collected
+                    .lock()
+                    .unwrap()
+                    .push((unit, result_json.to_string()));
+            })
+            .unwrap();
+        let mut results = collected.into_inner().unwrap();
+        results.sort_unstable_by_key(|(gid, _)| *gid);
+        assert!(campaign.evaluate(&results).is_ok());
+        type Results = Vec<(usize, String)>;
+        let rejects = |edit: &dyn Fn(&mut Results), needle: &str| {
+            let mut grid = results.clone();
+            edit(&mut grid);
+            let err = campaign.evaluate(&grid).unwrap_err();
+            assert!(err.contains(needle), "expected '{needle}' in '{err}'");
+        };
+        let last = results.len() - 1;
+        rejects(&|g| drop(g.pop()), &format!("unit {last} has no result"));
+        rejects(&|g| g.push(g[0].clone()), "unit 0 appears twice");
+        rejects(&|g| g.push((g.len(), g[0].1.clone())), "out of range");
+        rejects(
+            &|g| g[0].1 = g[last].1.clone(),
+            "unit 0 kind does not match",
+        );
+        rejects(
+            &|g| g[0].1 = "{\"kind\":\"run\"".into(),
+            "unit 0: unparseable",
+        );
+        rejects(&|g| g[0].1 = "{\"kind\":\"run\"}".into(), "unit 0:");
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //! build, in completion order — ordering never matters because every unit entry names
 //! its slot.
 
-use super::codec::{kind_matches, unit_result_from_json, unit_result_to_json};
-use super::plan_hex;
+use super::codec::unit_result_to_json;
+use super::{decode_slot, plan_hex};
 use crate::json::{parse, Json};
 use crate::sweep::{ExperimentSpec, UnitResult};
 use piccolo_io::journal as lines;
@@ -95,21 +95,11 @@ pub(crate) fn read_replay(
             replay.mismatched += 1;
             continue;
         };
-        let in_grid = unit < unit_index.len() && {
-            let (figure, u) = unit_index[unit];
-            kind_matches(result, &specs[figure].units()[u])
-        };
-        if !plan_ok || !in_grid {
-            replay.mismatched += 1;
-            continue;
-        }
-        if let std::collections::btree_map::Entry::Vacant(slot) = replay.entries.entry(unit) {
-            match unit_result_from_json(result) {
-                Ok(r) => {
-                    slot.insert(r);
-                }
-                Err(_) => replay.mismatched += 1,
+        match plan_ok.then(|| decode_slot(specs, unit_index, unit, result)) {
+            Some(Ok(decoded)) => {
+                replay.entries.entry(unit).or_insert(decoded);
             }
+            _ => replay.mismatched += 1,
         }
     }
     Ok(replay)
@@ -134,44 +124,35 @@ impl Writer {
         })
     }
 
-    /// Records one completed unit. Called from worker threads; a failed write panics
-    /// (loudly aborting the campaign) rather than silently producing a journal that
-    /// would re-run completed units on resume.
+    /// Records one completed unit. Called from worker threads.
     pub fn record(&self, unit: usize, result: &UnitResult) {
-        let payload = Json::obj([
-            ("plan", Json::str(&self.plan)),
-            ("unit", Json::Num(unit as f64)),
-            ("result", unit_result_to_json(result)),
-        ])
-        .to_string();
-        let mut file = self.file.lock().unwrap();
-        lines::append_line(&mut *file, &payload)
-            .unwrap_or_else(|e| panic!("cannot append to run journal: {e}"));
+        self.record_raw(unit, &unit_result_to_json(result).to_string());
     }
 
     /// Records one completed unit given its **already-canonical** codec JSON bytes —
     /// the coordinator path, where the result arrived over a wire and was normalized
-    /// by validation rather than produced in-process. The written line is
-    /// byte-identical to what [`Writer::record`] would produce for the same slot:
-    /// the JSON writer emits compact output (no spaces) with integer-valued numbers
-    /// printed as integers, so the manual framing here matches `Json::obj` exactly.
+    /// by validation rather than produced in-process. The JSON writer emits compact
+    /// output (no spaces) with integer-valued numbers printed as integers, so the
+    /// manual framing here matches `Json::obj` exactly.
     pub fn record_raw(&self, unit: usize, result_json: &str) {
-        let payload = format!(
+        self.append(&format!(
             "{{\"plan\":\"{}\",\"unit\":{unit},\"result\":{result_json}}}",
             self.plan
-        );
-        let mut file = self.file.lock().unwrap();
-        lines::append_line(&mut *file, &payload)
-            .unwrap_or_else(|e| panic!("cannot append to run journal: {e}"));
+        ));
     }
 
-    /// Records one completed graph build (its [`super::build_spec`] string). Same
-    /// failure policy as [`Writer::record`].
+    /// Records one completed graph build (its [`super::build_spec`] string).
     pub fn record_build(&self, spec: &str) {
-        let payload =
-            Json::obj([("plan", Json::str(&self.plan)), ("built", Json::str(spec))]).to_string();
+        self.append(
+            &Json::obj([("plan", Json::str(&self.plan)), ("built", Json::str(spec))]).to_string(),
+        );
+    }
+
+    /// Appends one line. A failed write panics (loudly aborting the campaign) rather
+    /// than silently producing a journal that would re-run completed units on resume.
+    fn append(&self, payload: &str) {
         let mut file = self.file.lock().unwrap();
-        lines::append_line(&mut *file, &payload)
+        lines::append_line(&mut *file, payload)
             .unwrap_or_else(|e| panic!("cannot append to run journal: {e}"));
     }
 }

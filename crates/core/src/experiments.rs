@@ -160,8 +160,8 @@ pub fn default_spec(name: &str, scale: Scale) -> Option<ExperimentSpec> {
 
 /// Resolves figure names to their default specs, preserving request order; unknown
 /// names are returned separately so callers can report them. The resulting list is what
-/// the `repro` binary hands to [`SweepRunner::run_campaign`](crate::campaign) as one
-/// campaign.
+/// the `repro` binary plans as one campaign and executes with
+/// [`PlannedCampaign::run`](crate::campaign::PlannedCampaign::run).
 pub fn default_specs(names: &[String], scale: Scale) -> (Vec<ExperimentSpec>, Vec<String>) {
     let mut specs = Vec::new();
     let mut unknown = Vec::new();

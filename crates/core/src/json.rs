@@ -498,6 +498,17 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_keys_resolve_to_the_first_occurrence() {
+        let v = parse(r#"{"k":1,"k":2}"#).unwrap();
+        assert_eq!(v.get("k").and_then(Json::as_f64), Some(1.0));
+        assert_eq!(
+            v.to_string(),
+            r#"{"k":1,"k":2}"#,
+            "both pairs are written back"
+        );
+    }
+
+    #[test]
     fn escapes_control_characters() {
         let s = Json::str("\u{1}").to_string();
         assert_eq!(s, "\"\\u0001\"");

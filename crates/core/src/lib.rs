@@ -13,9 +13,10 @@
 //! * [`sweep`] — the parallel design-space sweep engine (worker pool, deterministic
 //!   result ordering) behind the `repro --jobs N` binary and the bench harness,
 //! * [`campaign`] — the cross-figure campaign scheduler: one global work queue over all
-//!   requested figures, building each distinct graph exactly once campaign-wide, with
-//!   deterministic multi-process sharding ([`campaign::Shard`], [`campaign::merge_shards`])
-//!   and journal-based incremental re-runs (`repro --shard` / `--merge` / `--resume`),
+//!   requested figures, building each distinct graph exactly once campaign-wide. Its one
+//!   entry point, [`campaign::PlannedCampaign::run`], takes a deterministic multi-process
+//!   [`Shard`] and an optional resume journal; [`merge_shards`] recombines shard
+//!   documents (`repro --shard` / `--merge` / `--resume`),
 //! * [`json`] — the hand-rolled JSON writer/parser of the machine-readable results
 //!   pipeline (`results.json`, `BENCH.json`, `baselines.json`),
 //! * [`olap`] — the OLAP column-scan workload of Fig. 19b,
@@ -45,9 +46,7 @@ pub mod olap;
 pub mod report;
 pub mod sweep;
 
-pub use campaign::{
-    merge_shards, plan_hash, CampaignRun, CampaignStats, ResumeRun, Shard, ShardRun,
-};
+pub use campaign::{merge_shards, plan_hash, CampaignRun, CampaignStats, Shard};
 pub use experiments::{Point, Scale};
 pub use piccolo_accel::{
     phase_profile, reset_phase_profile, take_thread_phase_profile, CacheKind, PhaseBreakdown,

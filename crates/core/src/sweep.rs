@@ -18,8 +18,9 @@
 //! (and do) produce the same bytes, which CI enforces.
 //!
 //! Execution itself lives in [`crate::campaign`]: [`SweepRunner::run`] is a campaign of
-//! one figure, and [`SweepRunner::run_campaign`](crate::campaign) flattens many figures
-//! into one global queue that builds each distinct graph exactly once campaign-wide.
+//! one figure, and [`PlannedCampaign::run`](crate::campaign::PlannedCampaign::run)
+//! flattens many figures into one global queue that builds each distinct graph exactly
+//! once campaign-wide.
 //!
 //! Like [`piccolo_graph::rng`], the pool is hand-rolled on `std` only: the build
 //! environment has no access to crates.io, so there is no rayon/crossbeam here — just
@@ -460,8 +461,7 @@ impl SweepRunner {
     /// campaigns ([`crate::campaign`]) runs the grid, so there is exactly one execution
     /// spine — graph builds are schedulable units and each distinct graph is built once.
     pub fn run(&self, spec: &ExperimentSpec) -> Vec<Point> {
-        self.run_campaign(std::slice::from_ref(spec))
-            .figures
+        crate::campaign::run_whole(self.jobs, std::slice::from_ref(spec))
             .pop()
             .expect("a campaign of one spec yields one figure")
             .points

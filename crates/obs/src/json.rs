@@ -27,17 +27,17 @@ pub enum Val {
     Str(String),
     /// An array.
     Arr(Vec<Val>),
-    /// An object, in insertion order (duplicate keys keep the last value on
+    /// An object, in insertion order (duplicate keys keep the first value on
     /// lookup but are preserved in order when written back).
     Obj(Vec<(String, Val)>),
 }
 
 impl Val {
-    /// Object field lookup (last occurrence wins, mirroring `piccolo::json`).
+    /// Object field lookup (first occurrence wins, mirroring `piccolo::json`).
     #[must_use]
     pub fn get(&self, key: &str) -> Option<&Val> {
         match self {
-            Val::Obj(fields) => fields.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v),
+            Val::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -384,6 +384,17 @@ mod tests {
         assert!(Val::parse("[1,2,]x").is_err());
         assert!(Val::parse("01a").is_err());
         assert!(Val::parse(r#""unterminated"#).is_err());
+    }
+
+    #[test]
+    fn duplicate_keys_resolve_to_the_first_occurrence() {
+        let v = Val::parse(r#"{"k":1,"k":2}"#).unwrap();
+        assert_eq!(v.get("k").and_then(Val::as_num), Some(1.0));
+        assert_eq!(
+            v.to_json(),
+            r#"{"k":1,"k":2}"#,
+            "both pairs are written back"
+        );
     }
 
     #[test]

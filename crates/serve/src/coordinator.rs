@@ -23,10 +23,10 @@
 //! coordinator restarts by replaying its own journal and re-dispatches only
 //! the missing units; completed units are never re-executed.
 //!
-//! When the grid completes, the coordinator merges through the same
-//! `plan_hash`-validated [`merge_shards`] path as `repro --merge`
-//! ([`PlannedCampaign::evaluate`]), making `results.json` byte-identical to a
-//! local `--jobs 1` run. The derived `BENCH.json` carries the deterministic
+//! When the grid completes, the coordinator evaluates it with
+//! [`PlannedCampaign::evaluate`], which checks every slot exactly as
+//! [`merge_shards`] (`repro --merge`) does, making `results.json`
+//! byte-identical to a local `--jobs 1` run. The derived `BENCH.json` carries the deterministic
 //! speedup metrics; its wall-clock and scheduling-stats fields are zero in
 //! networked mode (timing lives with the workers).
 //!

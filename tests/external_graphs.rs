@@ -3,9 +3,9 @@
 //! registry, and the campaign scheduler, with deterministic output for any worker
 //! count and a guaranteed snapshot-cache hit on the second load.
 
+use piccolo::campaign::{PlannedCampaign, Shard};
 use piccolo::experiments::{external_spec, Scale};
 use piccolo::report::results_json;
-use piccolo::sweep::SweepRunner;
 use piccolo_graph::{external, generate};
 use piccolo_io::{load_graph_with, SnapshotStatus};
 use std::io::Write as _;
@@ -56,11 +56,11 @@ fn external_file_runs_the_campaign_deterministically_and_hits_the_cache() {
         seed: 7,
         max_iterations: 2,
     };
-    let specs = [external_spec(scale, &[ds])];
-    let sequential = SweepRunner::sequential().run_campaign(&specs);
+    let campaign = PlannedCampaign::new(scale, vec![external_spec(scale, &[ds])]);
+    let sequential = campaign.run(1, Shard::WHOLE, None).unwrap();
     let doc = results_json(scale, &sequential.figures);
     for jobs in [2, 8] {
-        let parallel = SweepRunner::new(jobs).run_campaign(&specs);
+        let parallel = campaign.run(jobs, Shard::WHOLE, None).unwrap();
         assert_eq!(
             results_json(scale, &parallel.figures),
             doc,

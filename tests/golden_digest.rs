@@ -11,9 +11,9 @@
 //! A change that is meant to move the model updates the constants in the same diff and
 //! says why in CHANGES.md. A change that is not meant to move it must leave them alone.
 
+use piccolo::campaign::{PlannedCampaign, Shard};
 use piccolo::experiments::{self, Scale};
 use piccolo::report::results_json;
-use piccolo::sweep::SweepRunner;
 use piccolo_accel::{simulate, simulate_edge_centric, CacheKind, RunResult, SimConfig, SystemKind};
 use piccolo_algo::{Algorithm, PageRank};
 use piccolo_graph::{generate, Dataset};
@@ -130,7 +130,9 @@ fn campaign_results_json_digest_matches_the_frozen_model() {
         experiments::fig12_spec(scale, &ds, &algs),
         experiments::table2_spec(scale),
     ];
-    let run = SweepRunner::sequential().run_campaign(&specs);
+    let run = PlannedCampaign::new(scale, specs)
+        .run(1, Shard::WHOLE, None)
+        .unwrap();
     let doc = results_json(scale, &run.figures);
     assert_eq!(
         format!("{:#018x}", fnv64(doc.as_bytes())),

@@ -7,10 +7,10 @@
 //! The obs dispatcher and metrics registry are process-global, so every test
 //! here serializes on a file-local mutex.
 
-use piccolo::campaign::{merge_shards, Shard};
+use piccolo::campaign::{merge_shards, CampaignRun, PlannedCampaign, Shard};
 use piccolo::experiments::{self, Scale};
 use piccolo::report::results_json;
-use piccolo::sweep::{ExperimentSpec, SweepRunner};
+use piccolo::sweep::ExperimentSpec;
 use piccolo_algo::Algorithm;
 use piccolo_graph::Dataset;
 use piccolo_obs as obs;
@@ -39,6 +39,11 @@ fn specs_for(scale: Scale) -> Vec<ExperimentSpec> {
     ]
 }
 
+/// Runs `campaign`'s whole grid on `jobs` workers, without a journal.
+fn whole(campaign: &PlannedCampaign, jobs: usize) -> CampaignRun {
+    campaign.run(jobs, Shard::WHOLE, None).unwrap()
+}
+
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("piccolo-obs-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -63,14 +68,14 @@ fn event_capture_never_changes_a_result_byte() {
         seed: 9,
         max_iterations: 2,
     };
-    let specs = specs_for(scale);
-    let reference = SweepRunner::sequential().run_campaign(&specs);
+    let campaign = PlannedCampaign::new(scale, specs_for(scale));
+    let reference = whole(&campaign, 1);
     let expected = results_json(scale, &reference.figures);
     let planned = reference.stats.sim_runs + reference.stats.measure_units;
 
     for jobs in [1usize, 2, 8] {
         // Sink off: the plain run at this worker count.
-        let plain = SweepRunner::new(jobs).run_campaign(&specs);
+        let plain = whole(&campaign, jobs);
         assert_eq!(
             results_json(scale, &plain.figures),
             expected,
@@ -80,7 +85,7 @@ fn event_capture_never_changes_a_result_byte() {
         // Sink on: same run with the full event stream captured.
         let events = dir.join(format!("events-{jobs}.jsonl"));
         let id = obs::add_events_file(&events).unwrap();
-        let traced = SweepRunner::new(jobs).run_campaign(&specs);
+        let traced = whole(&campaign, jobs);
         obs::flush_sinks();
         obs::remove_sink(id);
         assert_eq!(
@@ -109,20 +114,15 @@ fn sharding_and_resume_stay_byte_identical_under_tracing() {
         seed: 23,
         max_iterations: 2,
     };
-    let specs = specs_for(scale);
-    let expected = results_json(
-        scale,
-        &SweepRunner::sequential().run_campaign(&specs).figures,
-    );
+    let campaign = PlannedCampaign::new(scale, specs_for(scale));
+    let expected = results_json(scale, &whole(&campaign, 1).figures);
 
     // Untraced sequential journal run: the reference journal bytes. (Worker
     // counts > 1 interleave journal lines by completion order, so the
     // byte-for-byte journal comparison pins the sequential path.)
     let plain_journal = dir.join("plain-journal.jsonl");
-    let plain = SweepRunner::sequential()
-        .run_campaign_resumed(scale, &specs, &plain_journal)
-        .unwrap();
-    assert_eq!(results_json(scale, &plain.run.figures), expected);
+    let plain = campaign.run(1, Shard::WHOLE, Some(&plain_journal)).unwrap();
+    assert_eq!(results_json(scale, &plain.figures), expected);
 
     let events = dir.join("events.jsonl");
     let id = obs::add_events_file(&events).unwrap();
@@ -130,12 +130,13 @@ fn sharding_and_resume_stay_byte_identical_under_tracing() {
     // Traced sharded run merges to the same bytes.
     let docs: Vec<String> = (0..2)
         .map(|index| {
-            SweepRunner::new(2)
-                .run_campaign_shard(scale, &specs, Shard { index, count: 2 })
-                .to_json()
+            campaign
+                .run(2, Shard { index, count: 2 }, None)
+                .unwrap()
+                .shard_json()
         })
         .collect();
-    let merged = merge_shards(scale, &specs, &docs).unwrap();
+    let merged = merge_shards(scale, campaign.specs(), &docs).unwrap();
     assert_eq!(
         results_json(scale, &merged),
         expected,
@@ -144,10 +145,10 @@ fn sharding_and_resume_stay_byte_identical_under_tracing() {
 
     // Traced journal run: results AND journal bytes match the untraced run.
     let traced_journal = dir.join("traced-journal.jsonl");
-    let traced = SweepRunner::sequential()
-        .run_campaign_resumed(scale, &specs, &traced_journal)
+    let traced = campaign
+        .run(1, Shard::WHOLE, Some(&traced_journal))
         .unwrap();
-    assert_eq!(results_json(scale, &traced.run.figures), expected);
+    assert_eq!(results_json(scale, &traced.figures), expected);
     assert_eq!(
         std::fs::read(&traced_journal).unwrap(),
         std::fs::read(&plain_journal).unwrap(),
@@ -163,11 +164,9 @@ fn sharding_and_resume_stay_byte_identical_under_tracing() {
     let keep = lines.len() / 2;
     let part = dir.join("truncated-journal.jsonl");
     std::fs::write(&part, format!("{}\n", lines[..keep].join("\n"))).unwrap();
-    let resumed = SweepRunner::new(2)
-        .run_campaign_resumed(scale, &specs, &part)
-        .unwrap();
+    let resumed = campaign.run(2, Shard::WHOLE, Some(&part)).unwrap();
     assert_eq!(
-        results_json(scale, &resumed.run.figures),
+        results_json(scale, &resumed.figures),
         expected,
         "traced resume must be byte-identical"
     );
@@ -186,6 +185,60 @@ fn sharding_and_resume_stay_byte_identical_under_tracing() {
 }
 
 #[test]
+fn a_sharded_journal_run_replays_inside_one_balanced_span() {
+    // `--shard I/N --resume J` takes the same journaled path as a whole-grid resume:
+    // one `journal_replay` span around the journal scan, and the replayed lines
+    // counted in `campaign/journal_lines_replayed`.
+    let _g = lock();
+    let dir = scratch("shard-replay");
+    let scale = Scale {
+        scale_shift: 15,
+        seed: 5,
+        max_iterations: 1,
+    };
+    let campaign = PlannedCampaign::new(scale, specs_for(scale));
+    let shard = Shard { index: 1, count: 2 };
+    let journal = dir.join("journal.jsonl");
+    let first = campaign.run(2, shard, Some(&journal)).unwrap();
+    assert!(first.executed > 0);
+
+    obs::metrics::reset_metrics();
+    let events = dir.join("events.jsonl");
+    let id = obs::add_events_file(&events).unwrap();
+    let resumed = campaign.run(2, shard, Some(&journal)).unwrap();
+    obs::flush_sinks();
+    obs::remove_sink(id);
+    assert_eq!((resumed.replayed, resumed.executed), (first.executed, 0));
+    assert_eq!(resumed.shard_json(), first.shard_json());
+
+    let report = obs::check::check_events(&events).unwrap();
+    assert_clean(&report);
+    let mut replay_records = Vec::new();
+    for payload in obs::linecodec::read_lines(&events).unwrap().payloads {
+        let doc = obs::json::Val::parse(&payload).unwrap();
+        if doc.get("span").and_then(obs::json::Val::as_str) == Some("journal_replay") {
+            let ev = doc.get("ev").and_then(obs::json::Val::as_str).unwrap_or("");
+            replay_records.push(ev.to_string());
+        }
+    }
+    assert_eq!(
+        replay_records,
+        ["open", "close"],
+        "exactly one balanced journal_replay span"
+    );
+    let replayed_lines = obs::metrics::metrics_snapshot()
+        .into_iter()
+        .find(|(name, _)| name == "campaign/journal_lines_replayed")
+        .map(|(_, value)| value);
+    assert!(
+        matches!(replayed_lines, Some(obs::metrics::MetricValue::Counter(n)) if n == first.executed as u64),
+        "journal_lines_replayed counts the shard's replayed units, got {replayed_lines:?}"
+    );
+    obs::metrics::reset_metrics();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn sim_metrics_are_identical_for_every_worker_split() {
     let _g = lock();
     let scale = Scale {
@@ -193,11 +246,11 @@ fn sim_metrics_are_identical_for_every_worker_split() {
         seed: 31,
         max_iterations: 2,
     };
-    let specs = specs_for(scale);
+    let campaign = PlannedCampaign::new(scale, specs_for(scale));
     let mut snapshots: Vec<String> = Vec::new();
     for jobs in [1usize, 2, 8] {
         obs::metrics::reset_metrics();
-        SweepRunner::new(jobs).run_campaign(&specs);
+        whole(&campaign, jobs);
         snapshots.push(obs::metrics::metrics_json());
     }
     assert_eq!(
@@ -229,10 +282,10 @@ fn a_corrupt_event_line_is_tolerated_but_reported() {
         seed: 2,
         max_iterations: 1,
     };
-    let specs = vec![experiments::table2_spec(scale)];
+    let campaign = PlannedCampaign::new(scale, vec![experiments::table2_spec(scale)]);
     let events = dir.join("events.jsonl");
     let id = obs::add_events_file(&events).unwrap();
-    SweepRunner::sequential().run_campaign(&specs);
+    whole(&campaign, 1);
     obs::flush_sinks();
     obs::remove_sink(id);
 

@@ -4,18 +4,20 @@
 //! delivery, and a coordinator restart that resumes from its streamed journal
 //! without re-executing a single completed unit. This is the test-scale pin of
 //! the CI `serve-smoke` job (which exercises the same story through the real
-//! binaries and `kill -9`).
+//! binaries and `kill -9`). A seeded loop of malformed HTTP heads and garbage
+//! worker frames must leave the same coordinator serving and finishing.
 
-use piccolo::campaign::PlannedCampaign;
+use piccolo::campaign::{PlannedCampaign, Shard};
 use piccolo::json::Json;
 use piccolo::report::results_json;
-use piccolo::sweep::SweepRunner;
 use piccolo_bench::cli::{build_campaign, CommonOpts, FlagSet};
+use piccolo_graph::rng::Rng64;
 use piccolo_serve::protocol;
 use piccolo_serve::{run_worker, Coordinator, CoordinatorConfig, WorkerConfig};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 /// The campaign options every side (reference run, coordinator, workers)
 /// derives its plan from: two measure-only figures at quick scale — 13 grid
@@ -25,6 +27,30 @@ fn campaign_opts() -> CommonOpts {
     opts.figures = vec!["fig09".to_string(), "table2".to_string()];
     opts.quick = true;
     opts
+}
+
+/// The plan every side derives from [`campaign_opts`].
+fn plan() -> PlannedCampaign {
+    let setup = build_campaign(&campaign_opts()).unwrap();
+    PlannedCampaign::new(setup.scale, setup.specs)
+}
+
+/// The reference `results.json` of a local sequential run, and the grid size.
+fn reference() -> (String, usize) {
+    let campaign = plan();
+    let run = campaign.run(1, Shard::WHOLE, None).unwrap();
+    (results_json(campaign.scale(), &run.figures), run.executed)
+}
+
+/// Starts a coordinator over [`plan`] that journals to `dir/serve.journal` and
+/// writes `dir/<results>`.
+fn start(dir: &Path, results: &str, cfg: CoordinatorConfig) -> Coordinator {
+    let cfg = CoordinatorConfig {
+        journal: dir.join("serve.journal"),
+        results_out: dir.join(results),
+        ..cfg
+    };
+    Coordinator::start(plan(), &campaign_opts().to_wire_json(), cfg).unwrap()
 }
 
 fn scratch(tag: &str) -> PathBuf {
@@ -93,25 +119,16 @@ fn networked_campaign_survives_worker_death_with_identical_bytes() {
     let dir = scratch("loopback");
 
     // The reference: the same plan, run locally and sequentially.
-    let opts = campaign_opts();
-    let setup = build_campaign(&opts).unwrap();
-    let reference = SweepRunner::sequential().run_campaign(&setup.specs);
-    let expected = results_json(setup.scale, &reference.figures);
-    let num_units = reference.stats.sim_runs + reference.stats.measure_units;
-
-    let setup = build_campaign(&opts).unwrap();
-    let coordinator = Coordinator::start(
-        PlannedCampaign::new(setup.scale, setup.specs),
-        &opts.to_wire_json(),
+    let (expected, num_units) = reference();
+    let coordinator = start(
+        &dir,
+        "results.json",
         CoordinatorConfig {
             lease_size: 2,
-            journal: dir.join("serve.journal"),
-            results_out: dir.join("results.json"),
             bench_out: Some(dir.join("BENCH.json")),
             ..CoordinatorConfig::default()
         },
-    )
-    .unwrap();
+    );
     let addr = coordinator.addr();
 
     // Before any worker: HTTP status serves, results do not (503).
@@ -128,9 +145,7 @@ fn networked_campaign_survives_worker_death_with_identical_bytes() {
 
     // A worker dies mid-lease first (deterministically, before anyone else can
     // drain the grid), then two healthy workers finish the campaign.
-    let local_setup = build_campaign(&opts).unwrap();
-    let local_campaign = PlannedCampaign::new(local_setup.scale, local_setup.specs);
-    let abandoned = saboteur_worker(addr, &local_campaign);
+    let abandoned = saboteur_worker(addr, &plan());
     assert!(abandoned >= 1);
 
     let workers: Vec<_> = (0..2)
@@ -185,17 +200,7 @@ fn networked_campaign_survives_worker_death_with_identical_bytes() {
 
     // Restart: the streamed journal alone must finalize the campaign — zero
     // units re-executed — and serve/write the same bytes.
-    let setup = build_campaign(&opts).unwrap();
-    let restarted = Coordinator::start(
-        PlannedCampaign::new(setup.scale, setup.specs),
-        &opts.to_wire_json(),
-        CoordinatorConfig {
-            journal: dir.join("serve.journal"),
-            results_out: dir.join("results-restart.json"),
-            ..CoordinatorConfig::default()
-        },
-    )
-    .unwrap();
+    let restarted = start(&dir, "results-restart.json", CoordinatorConfig::default());
     let outcome = restarted.wait_complete().unwrap();
     assert_eq!(
         outcome.replayed, num_units,
@@ -225,18 +230,7 @@ fn networked_campaign_survives_worker_death_with_identical_bytes() {
 #[test]
 fn coordinator_rejects_plan_and_version_mismatches() {
     let dir = scratch("reject");
-    let opts = campaign_opts();
-    let setup = build_campaign(&opts).unwrap();
-    let coordinator = Coordinator::start(
-        PlannedCampaign::new(setup.scale, setup.specs),
-        &opts.to_wire_json(),
-        CoordinatorConfig {
-            journal: dir.join("serve.journal"),
-            results_out: dir.join("results.json"),
-            ..CoordinatorConfig::default()
-        },
-    )
-    .unwrap();
+    let coordinator = start(&dir, "results.json", CoordinatorConfig::default());
     let addr = coordinator.addr();
 
     // A worker whose plan hash differs (different figures, scale, code) must be
@@ -266,6 +260,80 @@ fn coordinator_rejects_plan_and_version_mismatches() {
     let (kind, _) = protocol::parse_msg(&reply).unwrap();
     assert_eq!(kind, "reject");
 
+    coordinator.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Sends `bytes` as one whole connection, hangs up the write side and returns
+/// whatever the coordinator answers before it closes. Client-side errors are
+/// ignored: a coordinator may reset a connection it refuses to read to the end.
+fn send_raw(stream: &mut TcpStream, bytes: &[u8]) -> Vec<u8> {
+    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
+    let _ = stream.write_all(bytes);
+    let _ = stream.shutdown(Shutdown::Write);
+    let mut reply = Vec::new();
+    let _ = stream.read_to_end(&mut reply);
+    reply
+}
+
+#[test]
+fn malformed_http_heads_and_garbage_frames_never_stop_the_coordinator() {
+    let dir = scratch("garbage");
+    let (expected, _) = reference();
+    let coordinator = start(&dir, "results.json", CoordinatorConfig::default());
+    let addr = coordinator.addr();
+    let mut rng = Rng64::seed_from_u64(0x0bad_4ead);
+    for trial in 0..35 {
+        let noise: Vec<u8> = (0..rng.gen_index(257))
+            .map(|_| rng.next_u64() as u8)
+            .collect();
+        let pad = vec![b'a'; 8 * 1024 + 1 + rng.gen_index(4096)];
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let (bytes, status): (Vec<u8>, &[u8]) = match trial % 7 {
+            0 => ([b"GET ".as_slice(), &noise].concat(), b""),
+            1 => (b"GET \r\n\r\n".to_vec(), b"HTTP/1.1 400"),
+            2 => (
+                b"GET /st\xffat\xc3us HTTP/1.1\r\n\r\n".to_vec(),
+                b"HTTP/1.1 400",
+            ),
+            // Heads over the 8 KiB cap, in the request line or in a header.
+            3 => (
+                [b"GET /".as_slice(), &pad, b" HTTP/1.1\r\n\r\n"].concat(),
+                b"",
+            ),
+            4 => (
+                [b"GET /status HTTP/1.1\r\nX: ".as_slice(), &pad, b"\r\n\r\n"].concat(),
+                b"",
+            ),
+            // Garbage where a worker's frames belong: as the first frame, or after
+            // a handshake that took a lease (the coordinator must re-open it).
+            5 => (noise, b""),
+            _ => {
+                protocol::send_msg(&mut stream, &protocol::hello_msg("garbage")).unwrap();
+                protocol::recv_msg(&mut stream).unwrap().unwrap();
+                protocol::send_msg(&mut stream, &protocol::ready_msg(&plan().plan_hex())).unwrap();
+                protocol::send_msg(&mut stream, &protocol::next_msg()).unwrap();
+                protocol::recv_msg(&mut stream).unwrap().unwrap();
+                (noise, b"")
+            }
+        };
+        let reply = send_raw(&mut stream, &bytes);
+        assert!(reply.starts_with(status), "trial {trial}: {reply:?}");
+    }
+
+    let (head, body) = http_get(addr, "/status");
+    assert!(head.starts_with("HTTP/1.1 200"), "status head: {head}");
+    assert!(body.contains("\"done\":false"));
+    let worker = WorkerConfig {
+        name: "healthy".to_string(),
+        ..WorkerConfig::default()
+    };
+    assert!(run_worker(&addr.to_string(), &worker).unwrap().units > 0);
+    let outcome = coordinator.wait_complete().unwrap();
+    assert_eq!(
+        outcome.results_doc, expected,
+        "garbage never changes a byte"
+    );
     coordinator.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

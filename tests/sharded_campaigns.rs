@@ -4,14 +4,14 @@
 //! `--jobs 1` run — the invariant the sharded CI repro matrix enforces on the full
 //! quick campaign, pinned here at test scale with property-style (Rng64-seeded) loops.
 
-use piccolo::campaign::{merge_shards, Shard};
+use piccolo::campaign::{merge_shards, PlannedCampaign, Shard};
 use piccolo::experiments::{self, Scale};
 use piccolo::report::results_json;
-use piccolo::sweep::{ExperimentSpec, SweepRunner};
+use piccolo::sweep::ExperimentSpec;
 use piccolo_algo::Algorithm;
 use piccolo_graph::rng::Rng64;
 use piccolo_graph::Dataset;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A small multi-figure campaign: sim grids that share graphs across figures plus a
 /// measure-only figure, so shard projections hit every unit kind.
@@ -23,6 +23,12 @@ fn specs_for(scale: Scale) -> Vec<ExperimentSpec> {
         experiments::fig12_spec(scale, &ds, &algs),
         experiments::table2_spec(scale),
     ]
+}
+
+/// A journal's lines, in file order.
+fn journal_lines(path: &Path) -> Vec<String> {
+    let text = std::fs::read_to_string(path).unwrap();
+    text.lines().map(str::to_string).collect()
 }
 
 fn scratch(tag: &str) -> PathBuf {
@@ -45,30 +51,31 @@ fn merged_shards_match_the_jobs1_run_for_every_shard_count() {
             seed: rng.next_u64() % 64,
             max_iterations: 1 + (rng.next_u64() % 2) as u32,
         };
-        let specs = specs_for(scale);
-        let reference = SweepRunner::sequential().run_campaign(&specs);
+        let campaign = PlannedCampaign::new(scale, specs_for(scale));
+        let reference = campaign.run(1, Shard::WHOLE, None).unwrap();
         let expected = results_json(scale, &reference.figures);
         for count in [1usize, 2, 3, 5] {
             let mut docs = Vec::new();
             let mut executed = 0;
             for index in 0..count {
                 let jobs = 1 + (rng.next_u64() % 3) as usize; // worker count never matters
-                let run = SweepRunner::new(jobs).run_campaign_shard(
-                    scale,
-                    &specs,
-                    Shard { index, count },
+                let run = campaign.run(jobs, Shard { index, count }, None).unwrap();
+                assert_eq!(
+                    run.figures.is_empty(),
+                    count > 1,
+                    "only a whole grid has rows"
                 );
                 executed += run.num_units();
                 // Each shard builds only what its own units need and evicts all of it.
                 assert_eq!(run.stats.graphs_evicted, run.stats.graphs_built);
-                docs.push(run.to_json());
+                docs.push(run.shard_json());
             }
             assert_eq!(
                 executed,
                 reference.stats.sim_runs + reference.stats.measure_units,
                 "trial {trial}: shards 0..{count} partition the unit grid"
             );
-            let merged = merge_shards(scale, &specs, &docs)
+            let merged = merge_shards(scale, campaign.specs(), &docs)
                 .unwrap_or_else(|e| panic!("trial {trial}, {count} shards: {e}"));
             assert_eq!(
                 results_json(scale, &merged),
@@ -87,24 +94,18 @@ fn resume_finishes_a_truncated_journal_with_identical_bytes() {
         seed: 11,
         max_iterations: 2,
     };
-    let specs = specs_for(scale);
-    let runner = SweepRunner::new(2);
+    let campaign = PlannedCampaign::new(scale, specs_for(scale));
+    let resume = |journal: &Path| campaign.run(2, Shard::WHOLE, Some(journal)).unwrap();
 
     // A full journaled run is the reference: one line per unit.
     let journal = dir.join("journal.jsonl");
-    let full = runner
-        .run_campaign_resumed(scale, &specs, &journal)
-        .unwrap();
-    let expected = results_json(scale, &full.run.figures);
+    let full = resume(&journal);
+    let expected = results_json(scale, &full.figures);
     let total = full.executed;
-    let lines: Vec<String> = std::fs::read_to_string(&journal)
-        .unwrap()
-        .lines()
-        .map(str::to_string)
-        .collect();
+    let lines: Vec<String> = journal_lines(&journal);
     assert_eq!(
         lines.len(),
-        total + full.run.stats.graphs_built,
+        total + full.stats.graphs_built,
         "one journal line per completed unit or graph build"
     );
 
@@ -120,17 +121,17 @@ fn resume_finishes_a_truncated_journal_with_identical_bytes() {
             .count();
         let part = dir.join(format!("journal-trunc-{trial}.jsonl"));
         std::fs::write(&part, format!("{}\n", lines[..keep].join("\n"))).unwrap();
-        let resumed = runner.run_campaign_resumed(scale, &specs, &part).unwrap();
+        let resumed = resume(&part);
         assert_eq!(resumed.replayed, kept_units, "trial {trial} (keep {keep})");
         assert_eq!(resumed.executed, total - kept_units);
         assert_eq!(resumed.corrupt, 0);
         assert_eq!(
-            results_json(scale, &resumed.run.figures),
+            results_json(scale, &resumed.figures),
             expected,
             "trial {trial}: resume after {keep}/{total} units must be byte-identical"
         );
         // The journal is now complete again: a further resume replays everything.
-        let again = runner.run_campaign_resumed(scale, &specs, &part).unwrap();
+        let again = resume(&part);
         assert_eq!(again.executed, 0);
         assert_eq!(again.replayed, total);
     }
@@ -145,20 +146,14 @@ fn corrupted_journal_entries_are_ignored_and_rerun() {
         seed: 29,
         max_iterations: 2,
     };
-    let specs = specs_for(scale);
-    let runner = SweepRunner::new(2);
+    let campaign = PlannedCampaign::new(scale, specs_for(scale));
+    let resume = |journal: &Path| campaign.run(2, Shard::WHOLE, Some(journal)).unwrap();
 
     let journal = dir.join("journal.jsonl");
-    let full = runner
-        .run_campaign_resumed(scale, &specs, &journal)
-        .unwrap();
-    let expected = results_json(scale, &full.run.figures);
+    let full = resume(&journal);
+    let expected = results_json(scale, &full.figures);
     let total = full.executed;
-    let lines: Vec<String> = std::fs::read_to_string(&journal)
-        .unwrap()
-        .lines()
-        .map(str::to_string)
-        .collect();
+    let lines: Vec<String> = journal_lines(&journal);
 
     // Flip one checksum nibble in a few Rng64-chosen *unit* lines: each corrupted
     // entry must be ignored (never a wrong result), its unit re-run, and the output
@@ -182,12 +177,12 @@ fn corrupted_journal_entries_are_ignored_and_rerun() {
         }
         let path = dir.join(format!("journal-corrupt-{trial}.jsonl"));
         std::fs::write(&path, format!("{}\n", damaged.join("\n"))).unwrap();
-        let resumed = runner.run_campaign_resumed(scale, &specs, &path).unwrap();
+        let resumed = resume(&path);
         assert_eq!(resumed.corrupt, n_corrupt, "trial {trial}");
         assert_eq!(resumed.executed, n_corrupt, "corrupt entries are re-run");
         assert_eq!(resumed.replayed, total - n_corrupt);
         assert_eq!(
-            results_json(scale, &resumed.run.figures),
+            results_json(scale, &resumed.figures),
             expected,
             "trial {trial}: {n_corrupt} corrupt line(s) must not change a byte"
         );
@@ -202,11 +197,11 @@ fn corrupted_journal_entries_are_ignored_and_rerun() {
         damaged[build_idx] = String::from_utf8(bytes).unwrap();
         let path = dir.join("journal-corrupt-build.jsonl");
         std::fs::write(&path, format!("{}\n", damaged.join("\n"))).unwrap();
-        let resumed = runner.run_campaign_resumed(scale, &specs, &path).unwrap();
+        let resumed = resume(&path);
         assert_eq!(resumed.corrupt, 1);
         assert_eq!(resumed.executed, 0, "no unit re-runs for a lost build line");
         assert_eq!(resumed.replayed, total);
-        assert_eq!(results_json(scale, &resumed.run.figures), expected);
+        assert_eq!(results_json(scale, &resumed.figures), expected);
     }
 
     // Foreign garbage appended to a journal is also just skipped.
@@ -215,10 +210,10 @@ fn corrupted_journal_entries_are_ignored_and_rerun() {
     with_garbage.push("trailing noise without a checksum".to_string());
     let path = dir.join("journal-garbage.jsonl");
     std::fs::write(&path, format!("{}\n", with_garbage.join("\n"))).unwrap();
-    let resumed = runner.run_campaign_resumed(scale, &specs, &path).unwrap();
+    let resumed = resume(&path);
     assert_eq!(resumed.replayed, total);
     assert_eq!(resumed.executed, 0);
-    assert_eq!(results_json(scale, &resumed.run.figures), expected);
+    assert_eq!(results_json(scale, &resumed.figures), expected);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -236,23 +231,25 @@ fn shard_files_from_a_different_plan_never_merge() {
         seed: 4,
         max_iterations: 2,
     };
-    let specs_full = specs_for(scale_a);
+    let campaign = PlannedCampaign::new(scale_a, specs_for(scale_a));
+    let specs_full = campaign.specs();
     let docs: Vec<String> = (0..2)
         .map(|index| {
-            SweepRunner::sequential()
-                .run_campaign_shard(scale_a, &specs_full, Shard { index, count: 2 })
-                .to_json()
+            campaign
+                .run(1, Shard { index, count: 2 }, None)
+                .unwrap()
+                .shard_json()
         })
         .collect();
     // Different scale: rejected. Different figure subset: rejected.
-    assert!(merge_shards(scale_b, &specs_full, &docs)
+    assert!(merge_shards(scale_b, specs_full, &docs)
         .unwrap_err()
         .contains("plan hash"));
     assert!(merge_shards(scale_a, &specs_full[..2], &docs)
         .unwrap_err()
         .contains("plan hash"));
     // The matching plan still merges fine.
-    assert!(merge_shards(scale_a, &specs_full, &docs).is_ok());
+    assert!(merge_shards(scale_a, specs_full, &docs).is_ok());
 }
 
 #[test]
@@ -269,20 +266,13 @@ fn shard_and_resume_compose_to_identical_bytes() {
         seed: 17,
         max_iterations: 2,
     };
-    let specs = specs_for(scale);
-    let runner = SweepRunner::new(2);
+    let campaign = PlannedCampaign::new(scale, specs_for(scale));
 
     let journal = dir.join("journal.jsonl");
-    let full = runner
-        .run_campaign_resumed(scale, &specs, &journal)
-        .unwrap();
-    let expected = results_json(scale, &full.run.figures);
+    let full = campaign.run(2, Shard::WHOLE, Some(&journal)).unwrap();
+    let expected = results_json(scale, &full.figures);
     let total = full.executed;
-    let lines: Vec<String> = std::fs::read_to_string(&journal)
-        .unwrap()
-        .lines()
-        .map(str::to_string)
-        .collect();
+    let lines: Vec<String> = journal_lines(&journal);
 
     let mut rng = Rng64::seed_from_u64(0xc0de);
     for trial in 0..3 {
@@ -300,20 +290,18 @@ fn shard_and_resume_compose_to_identical_bytes() {
         let mut executed = 0;
         for index in 0..count {
             let shard = Shard { index, count };
-            let resumed = runner
-                .run_campaign_shard_resumed(scale, &specs, shard, &part)
-                .unwrap();
+            let resumed = campaign.run(2, shard, Some(&part)).unwrap();
             assert_eq!(resumed.corrupt, 0, "trial {trial} shard {shard}");
             replayed += resumed.replayed;
             executed += resumed.executed;
-            docs.push(resumed.run.to_json());
+            docs.push(resumed.shard_json());
         }
         // Shards partition the grid, so their replayed/executed counts partition
         // the journal's units and the remainder. (Later shards never replay an
         // earlier shard's appends: those units belong to other projections.)
         assert_eq!(replayed, kept_units, "trial {trial}");
         assert_eq!(executed, total - kept_units, "trial {trial}");
-        let merged = merge_shards(scale, &specs, &docs).unwrap();
+        let merged = merge_shards(scale, campaign.specs(), &docs).unwrap();
         assert_eq!(
             results_json(scale, &merged),
             expected,
@@ -323,11 +311,11 @@ fn shard_and_resume_compose_to_identical_bytes() {
 
         // The shared journal is complete now: every shard replays, none executes.
         for index in 0..count {
-            let again = runner
-                .run_campaign_shard_resumed(scale, &specs, Shard { index, count }, &part)
+            let again = campaign
+                .run(2, Shard { index, count }, Some(&part))
                 .unwrap();
             assert_eq!(again.executed, 0, "trial {trial}: complete journal");
-            assert_eq!(again.run.stats.graphs_built, 0);
+            assert_eq!(again.stats.graphs_built, 0);
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
